@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .symexpr import Expr, ExprError, ZERO, ONE, parse_expr
 from .exterior import (
     Chart,
@@ -174,6 +172,8 @@ def _py_source(e):
 
 
 def _compile_xy(e):
+    import numpy as np
+
     src = f"lambda x, y: (({_py_source(e)}) + 0.0*x + 0.0*y)"
     return eval(src, {"np": np})
 
@@ -181,6 +181,8 @@ def _compile_xy(e):
 def _simpson_weights(n, h):
     if n % 2 or n < 2:
         raise CatalogError(f"composite Simpson needs an even panel count, got {n}")
+    import numpy as np
+
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -225,6 +227,8 @@ def green_check(P, Q, grid_n=256):
     fQ = _compile_xy(Q)
     curl = Q.diff("x") - P.diff("y")
     fC = _compile_xy(curl)
+
+    import numpy as np
 
     s = np.linspace(0.0, 1.0, grid_n + 1)
     w = _simpson_weights(grid_n, 1.0 / grid_n)

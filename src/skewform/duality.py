@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .symexpr import Expr, ExprError, ONE, ZERO, zero_test, _poly_sqrt
 from .exterior import Chart, ChartError, DiffForm, FormError, ext_d
 from .manifold import Connection
@@ -45,6 +43,40 @@ def det_expr(rows):
         term = rows[0][j] * det_expr(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def _inertia(mat):
+    """(positive, negative) eigenvalue counts of a symmetric matrix of
+    rationals, exactly, by symmetric elimination (Sylvester's law of
+    inertia).  Their sum is the rank."""
+    a = [list(row) for row in mat]
+    rest = list(range(len(a)))
+    pos = neg = 0
+    while rest:
+        p = next((i for i in rest if a[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in rest for j in rest if a[i][j]), None)
+            if pair is None:
+                break
+            # the congruence row_i += row_j, col_i += col_j puts 2*a[i][j] on the diagonal
+            i, j = pair
+            for k in rest:
+                a[i][k] += a[j][k]
+            for k in rest:
+                a[k][i] += a[k][j]
+            p = i
+        pivot = a[p][p]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        rest.remove(p)
+        for i in rest:
+            f = a[i][p] / pivot
+            if f:
+                for j in rest:
+                    a[i][j] -= f * a[p][j]
+    return pos, neg
 
 
 def _adjugate(rows):
@@ -111,14 +143,21 @@ class Metric:
 
         rng = random.Random(f"skewform-metric:{seed}:{[str(e) for r in self.rows for e in r]}")
         names = sorted({v for r in self.rows for e in r for v in e.variables()})
+        exact = not any(e.has_atoms() for r in self.rows for e in r)
         for _ in range(64):
             point = {v: Fraction(rng.randint(1, 4000), 1000) for v in names}
             try:
-                mat = np.array(
-                    [[float(e.eval(point)) for e in row] for row in self.rows], dtype=float
-                )
+                mat = [[e.eval(point) for e in row] for row in self.rows]
             except ExprError:
                 continue
+            if exact:
+                pos, neg = _inertia(mat)
+                if pos + neg == len(mat):  # else det g = 0 exactly here
+                    return (pos, neg)
+                continue
+            import numpy as np
+
+            mat = np.array([[float(v) for v in row] for row in mat], dtype=float)
             if abs(np.linalg.det(mat)) < 1e-9:
                 continue
             eig = np.linalg.eigvalsh(mat)

@@ -16,9 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
-
-from .symexpr import Expr, ExprError, PoleError, ZERO, zero_test
+from .symexpr import Expr, ExprError, PoleError, ZERO, compile_numeric, zero_test
 from .exterior import (
     Chart,
     ChartError,
@@ -28,7 +26,7 @@ from .exterior import (
     homotopy_antiderivative,
     wedge,
 )
-from .duality import Metric, det_expr, hodge_star
+from .duality import Metric, _inertia, det_expr, hodge_star
 
 
 class RelationError(ExprError):
@@ -71,14 +69,24 @@ class Pseudostructure:
             set().union(*(entry.variables() for row in jac for entry in row)) | set(self.params.variables)
         )
         rng = random.Random(f"skewform-rank:{seed}:{[str(self.mapping[v]) for v in self.ambient.variables]}")
+        exact = not any(e.has_atoms() for row in jac for e in row)
         best = 0
         for _ in range(16):
             point = {v: Fraction(rng.randint(-4000, 4000), 1000) for v in names}
             try:
-                mat = np.array([[float(e.eval(point)) for e in row] for row in jac], dtype=float)
+                mat = [[e.eval(point) for e in row] for row in jac]
             except ExprError:
                 continue
-            best = max(best, int(np.linalg.matrix_rank(mat, tol=1e-8)))
+            if exact:
+                # rank J = rank of the Gram matrix J^T J over Q
+                gram = [[sum(r[a] * r[b] for r in mat) for b in range(m)] for a in range(m)]
+                rank = sum(_inertia(gram))
+            else:
+                import numpy as np
+
+                mat = np.array([[float(v) for v in row] for row in mat], dtype=float)
+                rank = int(np.linalg.matrix_rank(mat, tol=1e-8))
+            best = max(best, rank)
             if best >= m:
                 return
         raise RelationError(f"parametrization Jacobian has generic rank {best} < {m}")
@@ -399,6 +407,7 @@ def _sample_zero_locus(F, seed, tol, lines):
     names = sorted(F.variables())
     if not names:
         return []
+    f = compile_numeric(F, names)
     rng = random.Random(f"skewform-scan:{seed}:{F}")
     points = []
     for _ in range(lines):
@@ -408,8 +417,7 @@ def _sample_zero_locus(F, seed, tol, lines):
             continue
 
         def value(srel):
-            pt = {v: base[i] + srel * direction[i] for i, v in enumerate(names)}
-            return float(F.eval(pt))
+            return float(f([b + srel * d for b, d in zip(base, direction)]))
 
         samples = 33
         prev_s = -5.0

@@ -802,18 +802,11 @@ class Expr:
         return num / den
 
     def eval(self, point=None):
-        """Evaluate at a point (name -> number).  Exact Fraction arithmetic
-        for rational Exprs; floats once elementary functions are involved."""
+        """Evaluate at a point (name -> number); see `compile_numeric` for
+        the arithmetic.  Callers that evaluate one Expr at many points
+        should prepare it once with `compile_numeric` instead."""
         point = dict(point or {})
-        missing = self.variables() - set(point)
-        if missing:
-            raise UnboundVariableError(f"unbound variables: {sorted(missing)}")
-        numeric = self.has_atoms() or any(isinstance(v, float) for v in point.values())
-        n = _poly_eval(self.num, point, numeric)
-        d = _poly_eval(self.den, point, numeric)
-        if d == 0:
-            raise PoleError(f"evaluation at a pole of {self}")
-        return n / d
+        return compile_numeric(self, point)(list(point.values()))
 
     # -- presentation ---------------------------------------------------------
 
@@ -914,23 +907,189 @@ def _poly_subst(p, mapping):
     return total
 
 
-def _poly_eval(p, point, numeric):
-    total = 0.0 if numeric else Fraction(0)
-    for m, c in p.terms.items():
-        val = float(c) if numeric else c
-        for g, e in m.items:
-            if isinstance(g, str):
-                gv = point[g]
-                gv = float(gv) if numeric else Fraction(gv)
-            else:
-                arg = g.arg.eval(point)
-                try:
-                    gv = _MATH_FN[g.fn](float(arg))
-                except (ValueError, OverflowError) as exc:
-                    raise PoleError(f"{g.fn} undefined at argument {arg}") from exc
-            val = val * gv ** e
+class _Unfloatable:
+    """Stands in for a number too large for a float.  Using it as a factor
+    raises the OverflowError that converting it would have raised, at the
+    step of the evaluation where that conversion happens."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message):
+        self.message = message
+
+    def __pow__(self, other):
+        raise OverflowError(self.message)
+
+    __rmul__ = __pow__
+
+
+def _to_float(v):
+    try:
+        return float(v)
+    except OverflowError as exc:
+        return _Unfloatable(str(exc))
+
+
+def compile_numeric(expr, names):
+    """Prepare expr for evaluation at many points: return f(values), where
+    values[i] is the number bound to names[i].
+
+    The canonical tree is walked once.  Coefficients are converted once,
+    atom arguments are prepared recursively, and each variable and atom
+    gets a slot in a per-call work list.  A subexpression is evaluated in
+    float when it has elementary-function atoms or any value in the point
+    is a float (even one bound to a name the expression does not use), and
+    exactly otherwise.  Float evaluation performs the operations of a
+    term-by-term walk in the same order (`val * gv ** e` per factor,
+    `total + val` per term), so its results are bit-identical to it.
+    Exact evaluation sums integer numerators over a common denominator and
+    yields the same rational as Fraction arithmetic; the value of an exact
+    top-level expression is a Fraction.  A zero denominator, or a domain
+    or range error inside sin/cos/exp/ln, raises PoleError; an overflowing
+    float power raises OverflowError.  Each atom is computed at its first
+    occurrence and reused: the functions are pure, so reuse changes
+    neither a value nor which exception is raised first.
+    """
+    position = {v: i for i, v in enumerate(names)}
+    variables = expr.variables()
+    missing = variables - set(position)
+    if missing:
+        raise UnboundVariableError(f"unbound variables: {sorted(missing)}")
+    used = sorted(variables, key=position.__getitem__)
+    columns = [position[v] for v in used]
+    slots = {v: k for k, v in enumerate(used)}
+    extra = []  # initial contents of the slots after the variables'
+    atoms = {}  # slot -> (function name, math function, prepared argument)
+
+    def slot_of(g):
+        if g not in slots:
+            arg = prepare(g.arg)
+            slots[g] = len(columns) + len(extra)
+            extra.append(None)  # filled at the atom's first occurrence
+            atoms[slots[g]] = (g.fn, _MATH_FN[g.fn], arg)
+        return slots[g]
+
+    def float_terms(p):
+        terms = []
+        for m, c in p.terms.items():
+            factors = tuple((slot_of(g), e) for g, e in m.items)
+            try:
+                terms.append((float(c), factors))
+            except OverflowError as exc:
+                # raise where float(c) would, before the term's first factor
+                extra.append(_Unfloatable(str(exc)))
+                terms.append((1.0, ((len(columns) + len(extra) - 1, 1),) + factors))
+        return terms
+
+    def exact_terms(p):
+        """(scale, degree, terms) with, for values a / B over a common
+        denominator B, p = sum(n * prod(a ** e) * B ** shift) / (scale * B ** degree)."""
+        scale = math.lcm(*(c.denominator for c in p.terms.values()))
+        degree = p.total_degree()
+        terms = [
+            (c.numerator * (scale // c.denominator), degree - m.degree, tuple((slots[g], e) for g, e in m.items))
+            for m, c in p.terms.items()
+        ]
+        return scale, degree, terms
+
+    def prepare(e):
+        """(float num, float den, exact num, exact den, has atoms, e); a den
+        of None is the constant 1, and atom-bearing nodes have no exact form."""
+        one = e.den == _POLY_ONE  # canonical constant denominators are 1
+        fnum, fden = float_terms(e.num), None if one else float_terms(e.den)
+        if any(not isinstance(g, str) for p in (e.num, e.den) for m in p.terms for g, _ in m.items):
+            return (fnum, fden, None, None, True, e)
+        return (fnum, fden, exact_terms(e.num), None if one else exact_terms(e.den), False, e)
+
+    top = prepare(expr)
+
+    def evaluate(values):
+        numeric = False
+        for v in values:
+            if isinstance(v, float):
+                numeric = True
+                break
+        w = exact = None
+        if numeric or atoms:
+            w = [v if v.__class__ is float else _to_float(v) for v in map(values.__getitem__, columns)]
+            w += extra
+        if not numeric:
+            q = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in map(values.__getitem__, columns)]
+            common = math.lcm(*(v.denominator for v in q))
+            exact = ([v.numerator * (common // v.denominator) for v in q], common)
+        state = (w, exact, numeric, atoms)  # what the evaluation helpers share
+        if numeric or top[4]:
+            return _eval_float(top, state)
+        return Fraction(*_eval_exact(top, exact))
+
+    return evaluate
+
+
+def _eval_float(node, state):
+    fnum, fden, _, _, _, expr = node
+    n = _sum_float(fnum, state)
+    if fden is None:
+        return n  # n / 1.0 is n
+    d = _sum_float(fden, state)
+    if d == 0:
+        raise PoleError(f"evaluation at a pole of {expr}")
+    return n / d
+
+
+def _sum_float(terms, state):
+    w = state[0]
+    total = 0.0
+    for c, factors in terms:
+        val = c
+        for k, e in factors:
+            gv = w[k]
+            if gv is None:
+                gv = _atom_value(k, state)
+            val = val * gv if e == 1 else val * gv ** e  # x ** 1 is x
         total = total + val
     return total
+
+
+def _eval_exact(node, exact):
+    """(n, d), d > 0, with n / d the exact value of an atom-free node."""
+    _, _, num, den, _, expr = node
+    a, common = exact
+    n, scale = _sum_exact(num, a, common)
+    if den is None:
+        return n, scale
+    d, dscale = _sum_exact(den, a, common)
+    if d == 0:
+        raise PoleError(f"evaluation at a pole of {expr}")
+    n, d = n * dscale, d * scale
+    return (n, d) if d > 0 else (-n, -d)
+
+
+def _sum_exact(poly, a, common):
+    scale, degree, terms = poly
+    total = 0
+    for c, shift, factors in terms:
+        for k, e in factors:
+            c *= a[k] if e == 1 else a[k] ** e
+        if shift and common != 1:
+            c *= common ** shift
+        total += c
+    return total, scale * common ** degree
+
+
+def _atom_value(k, state):
+    fn, f, node = state[3][k]
+    if node[4] or state[2]:
+        arg = _eval_float(node, state)
+    else:
+        arg = _eval_exact(node, state[1])
+    try:
+        # n / d of ints rounds correctly, as float(Fraction(n, d)) does
+        gv = f(arg if arg.__class__ is float else arg[0] / arg[1])
+    except (ValueError, OverflowError) as exc:
+        shown = arg if arg.__class__ is float else Fraction(*arg)
+        raise PoleError(f"{fn} undefined at argument {shown}") from exc
+    state[0][k] = gv
+    return gv
 
 
 def integrate_unit_interval(e, t):
@@ -987,12 +1146,13 @@ def zero_test(e, seed=0, samples=ZERO_TEST_SAMPLES, tol=ZERO_TEST_TOL):
     if not e.has_atoms():
         return ZeroDecision(False, False)
     names = sorted(e.variables())
+    f = compile_numeric(e, names)
     rng = random.Random(f"skewform-zero:{seed}:{e}")
     for _ in range(samples):
         for attempt in range(8):
-            point = {v: Fraction(rng.randint(-10000, 10000), 1000) for v in names}
+            point = [Fraction(rng.randint(-10000, 10000), 1000) for _ in names]
             try:
-                val = e.eval(point)
+                val = f(point)
             except PoleError:
                 continue
             break

@@ -58,6 +58,20 @@ class TestMetricConstruction:
         assert Metric.minkowski(chm).signature == (1, 1)
         assert Metric.minkowski(chm).sign_det == -1
 
+    def test_signature_exact_for_badly_scaled_rational_metric(self):
+        # float eigenvalues with a 1e-9 determinant cutoff rejected both
+        tiny = Expr.const(Fraction(1, 10 ** 10))
+        assert Metric.diagonal(ch2, [tiny, Expr.const(1)]).signature == (2, 0)
+        assert Metric.diagonal(ch2, [-tiny, Expr.const(1)]).signature == (1, 1)
+
+    def test_signature_with_zero_diagonal(self):
+        g = Metric(ch2, [[Expr.const(0), Expr.const(1)], [Expr.const(1), Expr.const(0)]])
+        assert g.signature == (1, 1)
+
+    def test_signature_with_atoms_uses_float_fallback(self):
+        g = Metric.diagonal(ch2, [Expr.const(-1), parse_expr("exp(x)^2")])
+        assert g.signature == (1, 1)
+
     def test_inverse_cached_exact(self):
         g = Metric.diagonal(ch2, [Expr.const(4), x ** 2])
         assert g.inverse[0][0] == Expr.const(Fraction(1, 4))

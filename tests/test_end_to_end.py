@@ -1,0 +1,43 @@
+"""End-to-end guards: the committed session corpus keeps its report bytes,
+the demos run, and importing the package does not load numpy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from skewform.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _env():
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_golden_session_report_bytes(monkeypatch, capsys):
+    """`skewform check --json --seed 0` of the corpus: Poisson, Jacobian and
+    determinant scans (float zero points), sampled zero tests, `classify
+    ... on`, a metric signature and a catalog entry."""
+    monkeypatch.chdir(ROOT)
+    code = main(["check", "tests/data/golden_session.sf", "--json", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (ROOT / "tests" / "data" / "golden_session.json").read_text()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, skewform; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "False", proc.stderr

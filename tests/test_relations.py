@@ -75,6 +75,15 @@ class TestPseudostructure:
     def test_rank_check_passes_curved(self):
         Pseudostructure(ch2, par1, {"x": u, "y": u ** 2})
 
+    def test_rank_is_exact_for_rational_maps(self):
+        # a float tolerance once judged this tiny but nonzero Jacobian rank 0
+        Pseudostructure(ch2, par1, {"x": parse_expr("u/10000000000"), "y": parse_expr("0")})
+
+    def test_rank_with_atoms_uses_float_fallback(self):
+        Pseudostructure(ch2, par1, {"x": parse_expr("sin(u)"), "y": u})
+        with pytest.raises(RelationError):
+            Pseudostructure(Chart(["x", "y", "z"]), par2, {"x": parse_expr("sin(u)"), "y": parse_expr("2*sin(u)"), "z": u})
+
 
 class TestPullback:
     def test_degenerate_line(self):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,10 +6,12 @@ import pytest
 
 from skewform.symexpr import (
     Expr,
+    ExprError,
     ExprSyntaxError,
     PoleError,
     UnboundVariableError,
     ZeroTestError,
+    compile_numeric,
     cos,
     exp,
     is_zero,
@@ -224,6 +227,133 @@ class TestEval:
     def test_unbound(self):
         with pytest.raises(UnboundVariableError):
             (x + y).eval({"x": 1})
+
+
+# The term-by-term evaluator that `compile_numeric` replaced, kept verbatim
+# (apart from the recursion into atom arguments) as the oracle for it.
+
+_ORACLE_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
+
+
+def _oracle_eval(expr, point=None):
+    point = dict(point or {})
+    missing = expr.variables() - set(point)
+    if missing:
+        raise UnboundVariableError(f"unbound variables: {sorted(missing)}")
+    numeric = expr.has_atoms() or any(isinstance(v, float) for v in point.values())
+    n = _oracle_poly_eval(expr.num, point, numeric)
+    d = _oracle_poly_eval(expr.den, point, numeric)
+    if d == 0:
+        raise PoleError(f"evaluation at a pole of {expr}")
+    return n / d
+
+
+def _oracle_poly_eval(p, point, numeric):
+    total = 0.0 if numeric else Fraction(0)
+    for m, c in p.terms.items():
+        val = float(c) if numeric else c
+        for g, e in m.items:
+            if isinstance(g, str):
+                gv = point[g]
+                gv = float(gv) if numeric else Fraction(gv)
+            else:
+                arg = _oracle_eval(g.arg, point)
+                try:
+                    gv = _ORACLE_FN[g.fn](float(arg))
+                except (ValueError, OverflowError) as exc:
+                    raise PoleError(f"{g.fn} undefined at argument {arg}") from exc
+            val = val * gv ** e
+        total = total + val
+    return total
+
+
+def _random_expr(rng, depth):
+    """Random Expr over x, y, z: sums, products, quotients and small powers,
+    with sin/cos/exp/ln atoms nested up to `depth` levels."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        if rng.random() < 0.7:
+            return Expr.var(rng.choice("xyz")) * rng.randint(-3, 3) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return Expr.const(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    if roll < 0.45:
+        return rng.choice([sin, cos, exp, ln])(_random_expr(rng, depth - 1))
+    a, b = _random_expr(rng, depth - 1), _random_expr(rng, depth - 1)
+    if roll < 0.6:
+        return a + b
+    if roll < 0.75:
+        return a * b
+    if roll < 0.9:
+        return a / b
+    return a ** rng.randint(2, 4)
+
+
+def _random_point(rng, kind):
+    def value(var):
+        k = kind if kind != "mixed" else {"x": "float", "y": "fraction", "z": "int"}[var]
+        if k == "float":
+            return rng.uniform(-3.0, 3.0)
+        if k == "fraction":
+            return Fraction(rng.randint(-3000, 3000), rng.randint(1, 1000))
+        if k == "int":
+            return rng.randint(-3, 3)  # small integers land on poles and ln(0)
+        if k == "overflow":
+            return rng.choice([800.0, -800.0, 1e120, 10 ** 6, 710, 10 ** 400])  # exp, ** and float() overflow
+        raise AssertionError(k)
+
+    point = {v: value(v) for v in "xyz"}
+    if kind in ("fraction", "int") and rng.random() < 0.5:
+        point["unused"] = 0.5  # an unused float still forces float arithmetic
+    return point
+
+
+def _outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except (ExprError, OverflowError) as exc:
+        return ("raises", type(exc).__name__)
+    return ("value", type(r).__name__, repr(r))
+
+
+def test_compile_numeric_bit_identical_to_term_evaluator():
+    """Same values (to the bit, same type) and same exception types as the
+    term-by-term evaluator, through Expr.eval and through one prepared
+    closure reused across points."""
+    rng = random.Random("compile-numeric-oracle")
+    kinds = ("float", "fraction", "int", "mixed", "overflow")
+    seen = set()
+    checked = 0
+    while checked < 300:
+        try:
+            e = _random_expr(rng, 3)
+        except (ZeroDivisionError, PoleError):
+            continue
+        checked += 1
+        prepared = compile_numeric(e, ["x", "y", "z", "unused"])
+        for kind in kinds:
+            for _ in range(2):
+                point = _random_point(rng, kind)
+                want = _outcome(_oracle_eval, e, point)
+                assert _outcome(Expr.eval, e, point) == want, (str(e), point)
+                values = [point[v] for v in "xyz"] + [point.get("unused", 0)]
+                assert _outcome(prepared, values) == want, (str(e), point)
+                seen.add(want[:2])
+    # the corpus reaches exact and float values, poles and overflows
+    assert {("value", "Fraction"), ("value", "float"), ("raises", "PoleError"), ("raises", "OverflowError")} <= seen
+
+
+def test_compile_numeric_coefficient_beyond_float_range():
+    huge = parse_expr("10^400*x")
+    for e in (huge, huge + sin(x), sin(huge) + x):
+        for point in ({"x": 1}, {"x": 0.5}, {"x": Fraction(1, 3)}):
+            assert _outcome(Expr.eval, e, point) == _outcome(_oracle_eval, e, point), (str(e), point)
+
+
+def test_compile_numeric_unbound_and_extra_names():
+    with pytest.raises(UnboundVariableError):
+        compile_numeric(x + y, ["x"])
+    f = compile_numeric(x / y, ["y", "w", "x"])
+    assert f([2, 7, 1]) == Fraction(1, 2)
+    assert f([2, 0.5, 1]) == 0.5  # any float in the point selects float arithmetic
 
 
 class TestSubstitution:
