@@ -285,8 +285,7 @@ class EntryReport:
         return f"EntryReport({self.name}: {status}, {len(self.checks)} checks)"
 
 
-def _entry_poincare(seed):
-    rep = EntryReport("poincare-invariant", "Momentum 1-form p dq - H dt along trajectories")
+def _entry_poincare(rep, seed):
     chart = Chart(["t", "q", "p"])
     omega = parse_form("p*d[q] - (p^2/2)*d[t]", chart)
     r = Relation(DiffForm.zero(chart, 0), omega)
@@ -321,11 +320,9 @@ def _entry_poincare(seed):
             "antiderivative verified: d_pi(theta) = omega_pi",
             ext_d(theta) == pullback(omega, traj),
         )
-    return rep
 
 
-def _entry_cauchy_riemann(seed):
-    rep = EntryReport("cauchy-riemann", "Closure of the 1-forms attached to an analytic pair")
+def _entry_cauchy_riemann(rep, seed):
     chart = Chart(["x", "y"])
     u = parse_expr("x^2 - y^2")
     v = parse_expr("2*x*y")
@@ -335,11 +332,9 @@ def _entry_cauchy_riemann(seed):
     rep.add("v dx + u dy closed", is_closed(omega2, seed=seed), True, is_closed(omega2, seed=seed))
     bad = DiffForm(chart, 1, {(0,): parse_expr("x*y"), (1,): u})
     rep.add("non-conjugate pair is not closed", not is_closed(bad, seed=seed), False, is_closed(bad, seed=seed))
-    return rep
 
 
-def _entry_vital_force(seed):
-    rep = EntryReport("vital-force", "Kinetic energy differential against a potential force field")
+def _entry_vital_force(rep, seed):
     chart = Chart(["v1", "v2"])
     m = Expr.var("m")
     T = m * (Expr.var("v1") ** 2 + Expr.var("v2") ** 2) / 2
@@ -351,24 +346,18 @@ def _entry_vital_force(seed):
     rep.add("rotational extra force: nonidentical", v2.classification == NONIDENTICAL, NONIDENTICAL, v2.classification)
     expected = parse_form("2*d[v1]^d[v2]", chart)
     rep.add("rotational commutator", v2.commutator == expected, form_to_text(expected), form_to_text(v2.commutator))
-    return rep
 
 
-def _entry_thermo_first(seed):
-    rep = EntryReport("thermo-first-principle", "Heat 1-form dE + p dV is unclosed")
+def _entry_thermo_first(rep, seed):
     chart = Chart(["E", "V", "p"])
     omega = parse_form("d[E] + p*d[V]", chart)
     v = classify(Relation(DiffForm.zero(chart, 0), omega), seed=seed)
     rep.add("classification", v.classification == NONIDENTICAL, NONIDENTICAL, v.classification)
     expected = parse_form("-d[V]^d[p]", chart)
     rep.add("commutator dp ^ dV", v.commutator == expected, form_to_text(expected), form_to_text(v.commutator))
-    return rep
 
 
-def _entry_thermo_second(seed):
-    rep = EntryReport(
-        "thermo-second-principle", "Entropy form (dE + p dV)/T on the ideal-gas state surface"
-    )
+def _entry_thermo_second(rep, seed):
     chart = Chart(["E", "V", "p", "T"])
     omega = parse_form("(1/T)*d[E] + (p/T)*d[V]", chart)
     r = Relation(DiffForm.zero(chart, 0), omega)
@@ -395,11 +384,9 @@ def _entry_thermo_second(seed):
     )
     rep.add("entropy witness: identical", witness.classification == IDENTICAL, IDENTICAL, witness.classification)
     rep.add("witness verdict is exact", not witness.probabilistic, False, witness.probabilistic)
-    return rep
 
 
-def _entry_bianchi(seed):
-    rep = EntryReport("bianchi-identity", "First Bianchi identity and a flat-metric curvature check")
+def _entry_bianchi(rep, seed):
     ch2 = Chart(["x", "y"])
     sym2 = Connection.from_entries(
         ch2,
@@ -446,11 +433,9 @@ def _entry_bianchi(seed):
         for nu in range(2)
     )
     rep.add("diag(1, x^2) is flat", flat, True, flat)
-    return rep
 
 
-def _entry_canonical(seed):
-    rep = EntryReport("canonical-transformation", "Generating-function test p dq = P dQ + dW")
+def _entry_canonical(rep, seed):
     res = canonical_check("p", "-q", seed=seed)
     rep.add("(Q,P)=(p,-q) canonical", res.is_canonical, True, res.is_canonical)
     rep.add("W = p*q", res.W == parse_expr("p*q"), "p*q", res.W)
@@ -458,11 +443,9 @@ def _entry_canonical(seed):
     rep.add("identity map canonical", res2.is_canonical and res2.W == ZERO, "W = 0", res2.W)
     res3 = canonical_check("q^2", "p", seed=seed)
     rep.add("(Q,P)=(q^2,p) not canonical", not res3.is_canonical, False, res3.is_canonical)
-    return rep
 
 
-def _entry_legendre(seed):
-    rep = EntryReport("legendre-hamilton", "Velocity elimination and its degenerate locus")
+def _entry_legendre(rep, seed):
     res = legendre_transform("qdot^2/2 - q^2/2", seed=seed)
     rep.add("p = qdot", res.p == parse_expr("qdot"), "qdot", res.p)
     rep.add(
@@ -484,11 +467,9 @@ def _entry_legendre(seed):
         rep.add("linear Lagrangian rejected", False, "CatalogError", "no error")
     except CatalogError:
         rep.add("linear Lagrangian rejected", True, "CatalogError", "CatalogError")
-    return rep
 
 
-def _entry_green(seed):
-    rep = EntryReport("green-theorem", "Boundary circulation against the curl integral")
+def _entry_green(rep, seed):
     lin = green_check("-y", "x", grid_n=64)
     rep.add("curl 2 circulation", abs(lin.circulation - 2.0) < 1e-12, 2.0, lin.circulation)
     rep.add("curl 2 match", lin.abs_diff < 1e-12, "< 1e-12", lin.abs_diff)
@@ -501,11 +482,9 @@ def _entry_green(seed):
     e256 = abs(green_check("-y^5", "x^5", grid_n=256).area_integral - 2.0)
     ratio = e128 / e256 if e256 else float("inf")
     rep.add("Simpson-order halving ratio in [8, 32]", 8.0 <= ratio <= 32.0, "[8, 32]", ratio)
-    return rep
 
 
-def _entry_duality(seed):
-    rep = EntryReport("duality-operators", "Hodge duals, codifferential and the wave/Laplace operators")
+def _entry_duality(rep, seed):
     ch = Chart(["x", "y"])
     g = Metric.euclidean(ch)
     dx, dy = DiffForm.basis(ch, "x"), DiffForm.basis(ch, "y")
@@ -523,54 +502,36 @@ def _entry_duality(seed):
     rep.add("consistent operator sign", lap == wave, str(lap), str(wave))
     vol = hodge_star(DiffForm.scalar(ch, 1), g)
     rep.add("star 1 = volume form", vol == parse_form("d[x]^d[y]", ch))
-    return rep
 
 
+# name -> (title, entry function filling in the entry's report)
 CATALOG = {
-    "poincare-invariant": _entry_poincare,
-    "cauchy-riemann": _entry_cauchy_riemann,
-    "vital-force": _entry_vital_force,
-    "thermo-first-principle": _entry_thermo_first,
-    "thermo-second-principle": _entry_thermo_second,
-    "bianchi-identity": _entry_bianchi,
-    "canonical-transformation": _entry_canonical,
-    "legendre-hamilton": _entry_legendre,
-    "green-theorem": _entry_green,
-    "duality-operators": _entry_duality,
-}
-
-_TITLES = {
-    "poincare-invariant": "Momentum 1-form p dq - H dt along trajectories",
-    "cauchy-riemann": "Closure of the 1-forms attached to an analytic pair",
-    "vital-force": "Kinetic energy differential against a potential force field",
-    "thermo-first-principle": "Heat 1-form dE + p dV is unclosed",
-    "thermo-second-principle": "Entropy form (dE + p dV)/T on the ideal-gas state surface",
-    "bianchi-identity": "First Bianchi identity and a flat-metric curvature check",
-    "canonical-transformation": "Generating-function test p dq = P dQ + dW",
-    "legendre-hamilton": "Velocity elimination and its degenerate locus",
-    "green-theorem": "Boundary circulation against the curl integral",
-    "duality-operators": "Hodge duals, codifferential and the wave/Laplace operators",
+    "poincare-invariant": ("Momentum 1-form p dq - H dt along trajectories", _entry_poincare),
+    "cauchy-riemann": ("Closure of the 1-forms attached to an analytic pair", _entry_cauchy_riemann),
+    "vital-force": ("Kinetic energy differential against a potential force field", _entry_vital_force),
+    "thermo-first-principle": ("Heat 1-form dE + p dV is unclosed", _entry_thermo_first),
+    "thermo-second-principle": ("Entropy form (dE + p dV)/T on the ideal-gas state surface", _entry_thermo_second),
+    "bianchi-identity": ("First Bianchi identity and a flat-metric curvature check", _entry_bianchi),
+    "canonical-transformation": ("Generating-function test p dq = P dQ + dW", _entry_canonical),
+    "legendre-hamilton": ("Velocity elimination and its degenerate locus", _entry_legendre),
+    "green-theorem": ("Boundary circulation against the curl integral", _entry_green),
+    "duality-operators": ("Hodge duals, codifferential and the wave/Laplace operators", _entry_duality),
 }
 
 
 def list_entries():
-    return [(name, _TITLES[name]) for name in CATALOG]
+    return [(name, title) for name, (title, _) in CATALOG.items()]
 
 
 def run_entry(name, seed=0):
     if name not in CATALOG:
         raise CatalogError(f"unknown catalog entry {name!r}; try one of {sorted(CATALOG)}")
-    return CATALOG[name](seed)
+    title, entry = CATALOG[name]
+    rep = EntryReport(name, title)
+    entry(rep, seed)
+    return rep
 
 
-def run_all(seed=0, parallel=True):
-    """Run every entry; entries are independent, so they may fan out across
-    a thread pool, with reports reassembled in catalog order."""
-    names = list(CATALOG)
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(8, len(names))) as pool:
-            futures = {name: pool.submit(run_entry, name, seed) for name in names}
-            return [futures[name].result() for name in names]
-    return [run_entry(name, seed) for name in names]
+def run_all(seed=0):
+    """Run every entry in catalog order."""
+    return [run_entry(name, seed) for name in CATALOG]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .symexpr import Expr, ExprError, ONE, ZERO, zero_test, _poly_sqrt
+from .symexpr import Expr, ExprError, ONE, ZERO, all_zero, zero_test, _poly_sqrt
 from .exterior import Chart, ChartError, DiffForm, FormError, ext_d
 from .manifold import Connection
 
@@ -244,8 +244,7 @@ def hodge_star(a, g):
 
 def dual_closure_check(a, g, seed=0):
     """True iff the dual form is closed: d(star a) = 0."""
-    d = ext_d(hodge_star(a, g))
-    return all(zero_test(c, seed=seed).value for c in d.terms.values())
+    return all_zero(ext_d(hodge_star(a, g)).terms.values(), seed).value
 
 
 def codifferential(a, g):

@@ -18,9 +18,10 @@ from .symexpr import (
     FUNCTIONS,
     ZERO,
     _make_atom_expr,
+    all_zero,
     integrate_unit_interval,
+    parse_expr,
     tokenize,
-    zero_test,
 )
 
 
@@ -271,8 +272,7 @@ def ext_d(a):
 
 def is_closed(a, seed=0):
     """True iff every coefficient of ext_d(a) is (provably or probably) zero."""
-    d = ext_d(a)
-    return all(zero_test(c, seed=seed).value for c in d.terms.values())
+    return all_zero(ext_d(a).terms.values(), seed).value
 
 
 def commutator1(a):
@@ -414,25 +414,30 @@ def form_from_json(doc, chart=None):
     terms = {}
     for item in doc["terms"]:
         idx = tuple(i - 1 for i in item["indices"])
-        terms[idx] = parse_expr_checked(item["coeff"], None)
+        terms[idx] = parse_expr(item["coeff"])
     return DiffForm(chart, doc["degree"], terms)
 
 
-def parse_expr_checked(text, variables):
-    from .symexpr import parse_expr
-
-    return parse_expr(text, variables)
+MAX_NESTING = 100
 
 
-class _FormParser:
-    """Typed parser over the scalar token stream: values are either scalar
-    Exprs or DiffForms, with `d[x]` introducing basis differentials."""
+class _Parser:
+    """The one expression parser, typed over the scalar token stream.
+
+    Over a chart, values are scalar Exprs or DiffForms, with `d[x]`
+    introducing basis differentials.  With no chart (`symexpr.parse_expr`)
+    every value is a scalar, `d[` is a syntax error and a bare `d` is an
+    ordinary identifier.  Parentheses, function calls, unary minus and `^`
+    each nest one level deeper; past MAX_NESTING levels the input is
+    rejected before the recursion can exhaust the interpreter stack.
+    """
 
     def __init__(self, tokens, chart, variables=None):
         self.tokens = tokens
         self.i = 0
         self.chart = chart
         self.variables = None if variables is None else set(variables)
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -448,12 +453,19 @@ class _FormParser:
             raise ExprSyntaxError(f"expected {kind!r}, found {t.value!r}", t.pos)
         return t
 
+    def descend(self, t):
+        """Enter one nesting level at token t; the caller leaves it with
+        `self.depth -= 1` once the nested parse returns."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", t.pos)
+
     def parse(self):
         v = self.parse_sum()
         end = self.next()
         if end.kind != "end":
             raise ExprSyntaxError(f"trailing input {end.value!r}", end.pos)
-        if isinstance(v, Expr):
+        if self.chart is not None and isinstance(v, Expr):
             return DiffForm.scalar(self.chart, v)
         return v
 
@@ -503,8 +515,9 @@ class _FormParser:
 
     def parse_unary(self):
         if self.peek().kind == "-":
-            self.next()
+            self.descend(self.next())
             v = self.parse_unary()
+            self.depth -= 1
             return -v
         return self.parse_power()
 
@@ -512,7 +525,9 @@ class _FormParser:
         base = self.parse_primary()
         if self.peek().kind == "^":
             t = self.next()
+            self.descend(t)
             rhs = self.parse_unary()
+            self.depth -= 1
             if isinstance(base, DiffForm) or isinstance(rhs, DiffForm):
                 if not (isinstance(base, DiffForm) and isinstance(rhs, DiffForm)):
                     raise ExprSyntaxError("'^' joins two differentials (wedge) or a scalar and an integer", t.pos)
@@ -530,11 +545,13 @@ class _FormParser:
         if t.kind == "number":
             return Expr.const(Fraction(t.value))
         if t.kind == "(":
+            self.descend(t)
             v = self.parse_sum()
+            self.depth -= 1
             self.expect(")")
             return v
         if t.kind == "ident":
-            if t.value == "d" and self.peek().kind == "[":
+            if t.value == "d" and self.chart is not None and self.peek().kind == "[":
                 self.next()
                 name_t = self.expect("ident")
                 self.expect("]")
@@ -546,8 +563,9 @@ class _FormParser:
             if self.peek().kind == "(":
                 if t.value not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {t.value!r}", t.pos)
-                self.next()
+                self.descend(self.next())
                 arg = self.parse_sum()
+                self.depth -= 1
                 self.expect(")")
                 if not isinstance(arg, Expr):
                     raise ExprSyntaxError(f"{t.value} expects a scalar argument", t.pos)
@@ -571,4 +589,4 @@ def parse_form(text, chart, variables=None):
     allowed = None
     if variables is not None:
         allowed = set(variables) | set(chart.variables)
-    return _FormParser(tokenize(text), chart, allowed).parse()
+    return _Parser(tokenize(text), chart, allowed).parse()

@@ -11,7 +11,9 @@ exterior derivative.
 
 from __future__ import annotations
 
-from .symexpr import Expr, ZERO, parse_expr, zero_test
+from itertools import product
+
+from .symexpr import Expr, ZERO, all_zero, parse_expr
 from .exterior import Chart, ChartError, DiffForm, FormError, ext_d
 
 
@@ -211,12 +213,8 @@ def bianchi_first_check(c, seed=0):
     if not c.is_symmetric():
         raise TorsionError("first Bianchi check requires a symmetric (torsion-free) connection")
     R = riemann(c)
-    n = c.chart.dim
-    for r in range(n):
-        for s in range(n):
-            for mu in range(n):
-                for nu in range(n):
-                    total = R[r][s][mu][nu] + R[r][mu][nu][s] + R[r][nu][s][mu]
-                    if not zero_test(total, seed=seed).value:
-                        return False
-    return True
+    cyclic = (
+        R[r][s][mu][nu] + R[r][mu][nu][s] + R[r][nu][s][mu]
+        for r, s, mu, nu in product(range(c.chart.dim), repeat=4)
+    )
+    return all_zero(cyclic, seed).value

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .symexpr import Expr, ExprError, PoleError, ZERO, compile_numeric, zero_test
+from .symexpr import Expr, ExprError, PoleError, ZERO, all_zero, compile_numeric, zero_test
 from .exterior import (
     Chart,
     ChartError,
@@ -170,7 +170,7 @@ def dual_closure_on(a, g, s, order="ambient_then_pullback", seed=0):
         d = ext_d(hodge_star(pullback(a, s), induced_metric(g, s)))
     else:
         raise ValueError(f"unknown order {order!r}")
-    return all(zero_test(c, seed=seed).value for c in d.terms.values())
+    return all_zero(d.terms.values(), seed).value
 
 
 class Relation:
@@ -224,31 +224,21 @@ class Verdict:
         return f"Verdict({self.classification}{extra})"
 
 
-def _all_zero(form, seed):
-    probabilistic = False
-    for coeff in form.terms.values():
-        decision = zero_test(coeff, seed=seed)
-        probabilistic = probabilistic or decision.probabilistic
-        if not decision.value:
-            return False, probabilistic
-    return True, probabilistic
-
-
 def classify(r, seed=0):
     """IDENTICAL when omega - d(psi) vanishes coefficientwise; otherwise
     CLOSED_RHS when d(omega) = 0; otherwise NONIDENTICAL with d(omega)
     attached as the commutator form."""
     residual = r.omega - ext_d(r.psi)
     commutator = ext_d(r.omega)
-    res_zero, p1 = _all_zero(residual, seed)
-    com_zero, p2 = _all_zero(commutator, seed)
-    probabilistic = p1 or p2
+    res_zero = all_zero(residual.terms.values(), seed)
+    com_zero = all_zero(commutator.terms.values(), seed)
     if res_zero:
         classification = IDENTICAL
     elif com_zero:
         classification = CLOSED_RHS
     else:
         classification = NONIDENTICAL
+    probabilistic = res_zero.probabilistic or com_zero.probabilistic
     return Verdict(classification, residual, commutator, probabilistic)
 
 
@@ -259,9 +249,9 @@ def classify_on(r, s, seed=0):
     psi_pi = pullback(r.psi, s)
     omega_pi = pullback(r.omega, s)
     verdict = classify(Relation(psi_pi, omega_pi), seed=seed)
-    closure, prob = _all_zero(ext_d(omega_pi), seed)
-    verdict.pi_closure = closure
-    verdict.probabilistic = verdict.probabilistic or prob
+    closure = all_zero(ext_d(omega_pi).terms.values(), seed)
+    verdict.pi_closure = closure.value
+    verdict.probabilistic = verdict.probabilistic or closure.probabilistic
     return verdict
 
 
@@ -298,15 +288,14 @@ def integrate_chain(r, s, max_steps=8, seed=0):
         return []
     psi = pullback(r.psi, s)
     omega = pullback(r.omega, s)
-    closed, _ = _all_zero(ext_d(omega), seed)
-    if not closed:
+    if not all_zero(ext_d(omega).terms.values(), seed):
         raise NotClosedError(
             "restricted right side is not closed; the degenerate transformation is not realized"
         )
     steps = []
     while len(steps) < max_steps:
         theta = homotopy_antiderivative(omega, seed=seed)
-        diff_closed, _ = _all_zero(ext_d(psi - theta), seed)
+        diff_closed = all_zero(ext_d(psi - theta).terms.values(), seed).value
         steps.append(ChainStep(psi, theta, diff_closed))
         if theta.degree == 0:
             break

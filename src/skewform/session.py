@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .symexpr import Expr, ExprError, ExprSyntaxError, parse_expr
+from .symexpr import Expr, ExprError, ExprSyntaxError, all_zero, parse_expr
 from .exterior import (
     Chart,
     DiffForm,
@@ -501,12 +501,10 @@ def _run_command(session, cmd, record, seed, tolerance, max_steps):
                 result = dual_closure_check(form, metric, seed=seed)
         else:  # evoclosed
             from .manifold import evo_d
-            from .symexpr import zero_test
 
             connection = session.connections[cmd["with"]]
             record["with"] = cmd["with"]
-            d = evo_d(form, connection)
-            result = all(zero_test(c, seed=seed).value for c in d.terms.values())
+            result = all_zero(evo_d(form, connection).terms.values(), seed).value
         record["what"] = cmd["what"]
         record["result"] = result
         if cmd["expect"] is None:

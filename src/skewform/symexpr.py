@@ -1163,6 +1163,18 @@ def zero_test(e, seed=0, samples=ZERO_TEST_SAMPLES, tol=ZERO_TEST_TOL):
     return ZeroDecision(True, True)
 
 
+def all_zero(exprs, seed=0):
+    """zero_test each expression in order, stopping at the first nonzero
+    one.  The decision is probabilistic when any test made so far sampled."""
+    probabilistic = False
+    for e in exprs:
+        decision = zero_test(e, seed=seed)
+        probabilistic = probabilistic or decision.probabilistic
+        if not decision.value:
+            return ZeroDecision(False, probabilistic)
+    return ZeroDecision(True, probabilistic)
+
+
 def is_zero(e, seed=0):
     return zero_test(e, seed=seed).value
 
@@ -1229,107 +1241,16 @@ def tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, variables=None):
-        self.tokens = tokens
-        self.i = 0
-        self.variables = None if variables is None else set(variables)
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind):
-        t = self.next()
-        if t.kind != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {t.value!r}", t.pos)
-        return t
-
-    def parse_expr(self):
-        e = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.parse_term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
-
-    def parse_term(self):
-        e = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            t = self.next()
-            rhs = self.parse_factor()
-            if t.kind == "*":
-                e = e * rhs
-            else:
-                if rhs.is_zero_struct():
-                    raise ExprSyntaxError("division by zero", t.pos)
-                e = e / rhs
-        return e
-
-    def parse_factor(self):
-        if self.peek().kind == "-":
-            self.next()
-            return -self.parse_factor()
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_primary()
-        if self.peek().kind == "^":
-            t = self.next()
-            exponent = self.parse_factor()
-            if not exponent.is_integer_constant():
-                raise ExprSyntaxError("exponent must be an integer constant", t.pos)
-            n = int(exponent.as_fraction())
-            if n < 0 and base.is_zero_struct():
-                raise ExprSyntaxError("zero to a negative power", t.pos)
-            return base ** n
-        return base
-
-    def parse_primary(self):
-        t = self.next()
-        if t.kind == "number":
-            return Expr.const(Fraction(t.value))
-        if t.kind == "(":
-            e = self.parse_expr()
-            self.expect(")")
-            return e
-        if t.kind == "ident":
-            if self.peek().kind == "(":
-                if t.value not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {t.value!r}", t.pos)
-                self.next()
-                arg = self.parse_expr()
-                self.expect(")")
-                return _make_atom_expr(t.value, arg)
-            return self._variable(t)
-        raise ExprSyntaxError(f"unexpected token {t.value!r}", t.pos)
-
-    def _variable(self, t):
-        name = t.value
-        if self.variables is not None and name not in self.variables:
-            hint = ""
-            if len(name) > 1 and name.startswith("d") and name[1:] in self.variables:
-                hint = f"; differentials are written d[{name[1:]}] in form syntax"
-            raise ExprSyntaxError(f"{name!r} is not a declared scalar{hint}", t.pos)
-        return Expr.var(name)
-
-
 def parse_expr(text, variables=None):
     """Parse infix expression text into a canonical Expr.
 
-    When `variables` is given, identifiers outside it (and outside the
-    function table) are rejected.
+    This is the form grammar of `exterior` without a chart, so there is one
+    parser and one set of diagnostics.  When `variables` is given,
+    identifiers outside it (and outside the function table) are rejected.
     """
-    p = _Parser(tokenize(text), variables)
-    e = p.parse_expr()
-    end = p.next()
-    if end.kind != "end":
-        raise ExprSyntaxError(f"trailing input {end.value!r}", end.pos)
-    return e
+    from .exterior import _Parser  # exterior imports this module
+
+    return _Parser(tokenize(text), None, variables).parse()
 
 
 # -- printing ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from skewform.catalog import (
     green_check,
     legendre_transform,
     list_entries,
-    run_all,
     run_entry,
 )
 from conftest import random_poly
@@ -144,8 +143,3 @@ class TestEntries:
         a = run_entry("poincare-invariant", seed=7).to_json()
         b = run_entry("poincare-invariant", seed=7).to_json()
         assert a == b
-
-    def test_run_all_parallel_matches_serial(self):
-        par = [r.to_json() for r in run_all(seed=3, parallel=True)]
-        ser = [r.to_json() for r in run_all(seed=3, parallel=False)]
-        assert par == ser

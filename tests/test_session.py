@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -236,3 +237,31 @@ class TestCli:
         proc = run_cli("eval", "foo(x)")
         assert proc.returncode == 2
         assert "unknown function" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "line", ["form w = " + "(" * 3000 + "x" + ")" * 3000 + "*d[y]", "eval " + "x^" * 2000 + "2"]
+    )
+    def test_deep_nesting_is_a_diagnostic(self, tmp_path, line):
+        f = tmp_path / "deep.sf"
+        f.write_text(f"chart x y\n# nested\n{line}\n")
+        proc = run_cli("check", str(f))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: line 3: expression nested deeper than")
+        assert "Traceback" not in proc.stderr
+
+    def test_eval_nesting_at_and_past_the_limit(self):
+        from skewform.exterior import MAX_NESTING
+
+        chain = "sin(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        proc = run_cli("eval", chain)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == chain
+        at = run_cli("eval", chain, "--at", "x=1/2")
+        assert at.returncode == 0
+        v = 0.5
+        for _ in range(MAX_NESTING):
+            v = math.sin(v)
+        assert float(at.stdout) == v
+        deeper = run_cli("eval", "(" + chain + ")")
+        assert deeper.returncode == 2
+        assert "nested deeper" in deeper.stderr

@@ -11,6 +11,7 @@ from skewform.symexpr import (
     PoleError,
     UnboundVariableError,
     ZeroTestError,
+    all_zero,
     compile_numeric,
     cos,
     exp,
@@ -20,6 +21,7 @@ from skewform.symexpr import (
     sin,
     zero_test,
 )
+from skewform.exterior import MAX_NESTING
 from conftest import random_poly
 
 x = Expr.var("x")
@@ -70,6 +72,26 @@ class TestParse:
     def test_function_printing_roundtrip(self):
         e = sin(x * y) * 3 + cos(x) / (y + 2) + exp(x ** 2) - ln(y + 5)
         assert parse_expr(str(e)) == e
+
+    def test_form_syntax_is_not_scalar(self):
+        # without a chart `d` is an ordinary identifier and `d[` is an error
+        assert parse_expr("d + d^2") == Expr.var("d") + Expr.var("d") ** 2
+        with pytest.raises(ExprSyntaxError, match="trailing input"):
+            parse_expr("d[x]")
+
+    @pytest.mark.parametrize(
+        "text, pos",
+        [
+            ("(" * 3000 + "x" + ")" * 3000, MAX_NESTING),
+            ("sin(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), 4 * MAX_NESTING + 3),
+            ("-" * 3000 + "x", MAX_NESTING),
+            ("x^" * 2000 + "2", 2 * MAX_NESTING + 1),
+        ],
+    )
+    def test_nesting_limit(self, text, pos):
+        with pytest.raises(ExprSyntaxError, match="nested deeper") as err:
+            parse_expr(text)
+        assert err.value.pos == pos
 
 
 class TestCanonicalForm:
@@ -207,6 +229,27 @@ class TestZeroTest:
         # ln of a strictly negative argument is undefined at every sample
         with pytest.raises(ZeroTestError):
             zero_test(ln(-1 - x ** 2))
+
+
+class TestAllZero:
+    def test_exact_nonzero_first_stops_exact(self):
+        d = all_zero([x * y - x, sin(x) ** 2 + cos(x) ** 2 - 1])
+        assert (d.value, d.probabilistic) == (False, False)
+
+    def test_stops_at_first_nonzero(self):
+        def exprs():
+            yield x
+            raise AssertionError("tested past the first nonzero expression")
+
+        assert not all_zero(exprs())
+
+    def test_sampled_identity_then_nonzero(self):
+        d = all_zero([sin(x) ** 2 + cos(x) ** 2 - 1, x])
+        assert (d.value, d.probabilistic) == (False, True)
+
+    def test_empty_is_exact_zero(self):
+        d = all_zero([])
+        assert (d.value, d.probabilistic) == (True, False)
 
 
 class TestEval:
