@@ -83,22 +83,35 @@ class Atom:
         return f"{self.fn}({self.arg})"
 
 
+_VAR_KEYS = {}
+
+
 def _gen_key(gen):
     if isinstance(gen, str):
-        return ("a", gen)
+        # interned: one key object per variable, so merges mostly compare by identity
+        key = _VAR_KEYS.get(gen)
+        if key is None:
+            key = _VAR_KEYS[gen] = ("a", gen)
+        return key
     return gen.sort_key()
 
 
 class Monomial:
     """Product of generator powers, stored as (generator, exponent) pairs
-    sorted by generator key.  Ordering is graded lex."""
+    sorted by generator key.  Ordering is graded lex.
 
-    __slots__ = ("items", "degree", "_hash")
+    `_keys[i]` is the `_gen_key` of `items[i][0]`, computed once: products,
+    quotients and comparisons walk the two sorted tuples in step on these
+    keys.  The hash is that of `items` (an Atom hashes its key), so equal
+    monomials hash equal whichever way they were built."""
 
-    def __init__(self, items):
-        self.items = tuple(items)
-        self.degree = sum(e for _, e in self.items)
-        self._hash = hash(tuple((_gen_key(g), e) for g, e in self.items))
+    __slots__ = ("items", "degree", "_keys", "_hash")
+
+    def __init__(self, items, keys=None):
+        self.items = items = tuple(items)
+        self._keys = tuple(_gen_key(g) for g, _ in items) if keys is None else tuple(keys)
+        self.degree = sum(e for _, e in items)
+        self._hash = hash(items)
 
     @staticmethod
     def unit():
@@ -118,15 +131,15 @@ class Monomial:
         if self.degree != other.degree:
             return self.degree < other.degree
         a, b = self.items, other.items
+        ka, kb = self._keys, other._keys
         i = j = 0
         while i < len(a) and j < len(b):
-            ka, kb = _gen_key(a[i][0]), _gen_key(b[j][0])
-            if ka == kb:
+            if ka[i] == kb[j]:
                 if a[i][1] != b[j][1]:
                     return a[i][1] < b[j][1]
                 i += 1
                 j += 1
-            elif ka < kb:
+            elif ka[i] < kb[j]:
                 # self has a positive power at an earlier generator
                 return False
             else:
@@ -139,28 +152,70 @@ class Monomial:
         return self == other or self < other
 
     def mul(self, other):
-        merged = {}
-        for g, e in self.items:
-            merged[g] = e
-        for g, e in other.items:
-            merged[g] = merged.get(g, 0) + e
-        return Monomial(sorted(merged.items(), key=lambda t: _gen_key(t[0])))
+        a, b = self.items, other.items
+        if not b:
+            return self
+        if not a:
+            return other
+        ka, kb = self._keys, other._keys
+        na, nb = len(a), len(b)
+        items = []
+        keys = []
+        i = j = 0
+        while i < na and j < nb:
+            x, y = ka[i], kb[j]
+            if x is y or x == y:
+                items.append((a[i][0], a[i][1] + b[j][1]))
+                keys.append(x)
+                i += 1
+                j += 1
+            elif x < y:
+                items.append(a[i])
+                keys.append(x)
+                i += 1
+            else:
+                items.append(b[j])
+                keys.append(y)
+                j += 1
+        if i < na:
+            items += a[i:]
+            keys += ka[i:]
+        elif j < nb:
+            items += b[j:]
+            keys += kb[j:]
+        return Monomial(items, keys)
 
     def divide(self, other):
         """Exact monomial quotient, or None when not divisible."""
-        merged = dict(self.items)
-        for g, e in other.items:
-            r = merged.get(g, 0) - e
-            if r < 0:
+        a, ka = self.items, self._keys
+        na = len(a)
+        items = []
+        keys = []
+        i = 0
+        for y, (_, e) in zip(other._keys, other.items):
+            while i < na and ka[i] < y:
+                items.append(a[i])
+                keys.append(ka[i])
+                i += 1
+            if i == na or ka[i] != y or a[i][1] < e:
                 return None
-            if r == 0:
-                merged.pop(g, None)
-            else:
-                merged[g] = r
-        return Monomial(sorted(merged.items(), key=lambda t: _gen_key(t[0])))
+            if a[i][1] > e:
+                items.append((a[i][0], a[i][1] - e))
+                keys.append(y)
+            i += 1
+        items += a[i:]
+        keys += ka[i:]
+        return Monomial(items, keys)
+
+    def split(self, gen):
+        """(exponent of gen, self with gen removed)."""
+        for i, (g, e) in enumerate(self.items):
+            if g == gen:
+                return e, Monomial(self.items[:i] + self.items[i + 1:], self._keys[:i] + self._keys[i + 1:])
+        return 0, self
 
     def sort_key(self):
-        return tuple((_gen_key(g), e) for g, e in self.items)
+        return tuple(zip(self._keys, [e for _, e in self.items]))
 
 
 _MONO_UNIT = Monomial(())
@@ -226,7 +281,7 @@ class Poly:
                 res[m] = s
             else:
                 res.pop(m, None)
-        return Poly(res)
+        return _nonzero_poly(res)
 
     def __sub__(self, other):
         res = dict(self.terms)
@@ -236,27 +291,46 @@ class Poly:
                 res[m] = s
             else:
                 res.pop(m, None)
-        return Poly(res)
+        return _nonzero_poly(res)
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _nonzero_poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        # Each factor is scaled by the lcm of its denominators, so partial
+        # sums are ints, zero exactly when the Fraction sums would be.  The
+        # dict sees the same inserts and pops in the same order as
+        # term-by-term Fraction arithmetic, so `terms` iterates in the same
+        # order (a float contract; see docs/CONVENTIONS.md).
+        if not self.terms or not other.terms:
+            return Poly({})
+        da, a = self._int_terms()
+        db, b = other._int_terms()
         res = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                s = res.get(m, _F0) + c1 * c2
+        get = res.get
+        for m1, c1 in a:
+            mul = m1.mul
+            for m2, c2 in b:
+                m = mul(m2)
+                s = get(m, 0) + c1 * c2
                 if s:
                     res[m] = s
                 else:
-                    res.pop(m, None)
-        return Poly(res)
+                    del res[m]
+        d = da * db
+        for m, s in res.items():
+            res[m] = Fraction(s, d) if d != 1 else Fraction(s)
+        return _nonzero_poly(res)
+
+    def _int_terms(self):
+        """(L, [(m, c * L)]) with L the lcm of the coefficient denominators."""
+        d = math.lcm(*(c.denominator for c in self.terms.values()))
+        return d, [(m, c.numerator * (d // c.denominator)) for m, c in self.terms.items()]
 
     def scale(self, q):
         if not q:
             return Poly({})
-        return Poly({m: c * q for m, c in self.terms.items()})
+        return _nonzero_poly({m: c * q for m, c in self.terms.items()})
 
     def __pow__(self, n):
         result = Poly.one()
@@ -298,6 +372,14 @@ class Poly:
 
     def total_degree(self):
         return max((m.degree for m in self.terms), default=0)
+
+
+def _nonzero_poly(terms):
+    """A Poly taking `terms` as is: a fresh dict with no zero coefficient."""
+    p = object.__new__(Poly)
+    p.terms = terms
+    p._hash = p._key = None
+    return p
 
 
 _F0 = Fraction(0)
@@ -358,14 +440,7 @@ def _to_univar(p, x):
     """View p as univariate in generator x with Poly coefficients."""
     coeffs = {}
     for m, c in p.terms.items():
-        e = 0
-        rest = []
-        for g, ge in m.items:
-            if g == x:
-                e = ge
-            else:
-                rest.append((g, ge))
-        rest_m = Monomial(rest)
+        e, rest_m = m.split(x)
         bucket = coeffs.setdefault(e, {})
         bucket[rest_m] = bucket.get(rest_m, _F0) + c
     out = {}
@@ -466,15 +541,8 @@ def _poly_eval_gen(p, gen, a):
     """Substitute the integer a for one generator (exact)."""
     res = {}
     for m, c in p.terms.items():
-        e = 0
-        rest = []
-        for g, ge in m.items:
-            if g == gen:
-                e = ge
-            else:
-                rest.append((g, ge))
+        e, mm = m.split(gen)
         val = c * a ** e
-        mm = Monomial(tuple(rest))
         s = res.get(mm, _F0) + val
         if s:
             res[mm] = s
@@ -872,7 +940,7 @@ def _poly_diff_expr(p, v):
     """Derivative of a Poly as an Expr (atoms pull in the chain rule)."""
     total = ZERO
     for m, c in p.terms.items():
-        for idx, (g, e) in enumerate(m.items):
+        for g, e in m.items:
             if isinstance(g, str):
                 if g != v:
                     continue
@@ -882,12 +950,7 @@ def _poly_diff_expr(p, v):
                 if darg.is_zero_struct():
                     continue
                 dgen = _atom_derivative(g) * darg
-            rest = list(m.items)
-            if e == 1:
-                rest.pop(idx)
-            else:
-                rest[idx] = (g, e - 1)
-            base = Poly({Monomial(tuple(rest)): c * e})
+            base = Poly({m.divide(Monomial.of(g)): c * e})
             total = total + Expr.make(base) * dgen
     return total
 
@@ -1098,14 +1161,8 @@ def integrate_unit_interval(e, t):
         raise ExprError(f"not polynomial in {t}: {e}")
     total = ZERO
     for m, c in e.num.terms.items():
-        k = 0
-        rest = []
-        for g, ge in m.items:
-            if g == t:
-                k = ge
-            else:
-                rest.append((g, ge))
-        piece = Expr.make(Poly({Monomial(tuple(rest)): c / (k + 1)}), e.den)
+        k, rest = m.split(t)
+        piece = Expr.make(Poly({rest: c / (k + 1)}), e.den)
         total = total + piece
     return total
 

@@ -8,7 +8,9 @@ from skewform.symexpr import (
     Expr,
     ExprError,
     ExprSyntaxError,
+    Monomial,
     PoleError,
+    Poly,
     UnboundVariableError,
     ZeroTestError,
     all_zero,
@@ -20,6 +22,7 @@ from skewform.symexpr import (
     parse_expr,
     sin,
     zero_test,
+    _to_univar,
 )
 from skewform.exterior import MAX_NESTING
 from conftest import random_poly
@@ -411,3 +414,115 @@ class TestSubstitution:
     def test_constant_simplification(self):
         assert sin(x).subst({"x": Expr.const(0)}).is_zero_struct()
         assert exp(x).subst({"x": Expr.const(0)}) == Expr.const(1)
+
+
+# The multiply path that the merge multiply replaced, kept verbatim (as
+# functions over today's classes) as the oracle for it: a dict merge sorted
+# by generator key, and term-by-term Fraction accumulation.
+
+
+def _old_gen_key(gen):
+    if isinstance(gen, str):
+        return ("a", gen)
+    return gen.sort_key()
+
+
+def _old_mono_mul(a, b):
+    merged = {}
+    for g, e in a.items:
+        merged[g] = e
+    for g, e in b.items:
+        merged[g] = merged.get(g, 0) + e
+    return Monomial(sorted(merged.items(), key=lambda t: _old_gen_key(t[0])))
+
+
+def _old_mono_divide(a, b):
+    merged = dict(a.items)
+    for g, e in b.items:
+        r = merged.get(g, 0) - e
+        if r < 0:
+            return None
+        if r == 0:
+            merged.pop(g, None)
+        else:
+            merged[g] = r
+    return Monomial(sorted(merged.items(), key=lambda t: _old_gen_key(t[0])))
+
+
+def _old_poly_mul(p, q, stats):
+    res = {}
+    popped = set()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = _old_mono_mul(m1, m2)
+            s = res.get(m, Fraction(0)) + c1 * c2
+            if s:
+                stats["reinserted"] += m in popped and m not in res
+                res[m] = s
+            else:
+                res.pop(m, None)
+                popped.add(m)
+                stats["popped"] += 1
+    return Poly(res)
+
+
+def _random_kernel_poly(rng, gens):
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        m = Monomial.unit()
+        for g in rng.sample(gens, rng.randint(0, 3)):
+            m = _old_mono_mul(m, Monomial.of(g, rng.randint(1, 3)))
+        terms[m] = terms.get(m, Fraction(0)) + Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    return Poly(terms)
+
+
+def _assert_same_monomial(a, b):
+    assert a == b and hash(a) == hash(b)
+    assert a.sort_key() == b.sort_key() == tuple((_old_gen_key(g), e) for g, e in a.items)
+
+
+def test_merge_multiply_matches_sorted_dict_multiply():
+    """Poly products have the same terms in the same dict order as the old
+    multiply, including monomials popped at a zero partial sum and inserted
+    again; monomials built by mul, divide, `_to_univar` and the parser are
+    equal and hash equal."""
+    rng = random.Random("merge-multiply-oracle")
+    gens = ["x", "y", "z"] + [
+        atom
+        for text in ("sin(x)", "exp(y + 1/2)", "ln(sin(x)^2 + 2)", "sin(exp(z) - x)")
+        for atom in parse_expr(text).num.generators()
+        if not isinstance(atom, str)
+    ]
+    stats = {"popped": 0, "reinserted": 0}
+    for case in range(300):
+        p, q = _random_kernel_poly(rng, gens), _random_kernel_poly(rng, gens)
+        t = Poly({Monomial.of(rng.choice(gens)): Fraction(rng.randint(1, 3), rng.randint(1, 2))})
+        pt = _old_poly_mul(p, t, {"popped": 0, "reinserted": 0})
+        ptt = _old_poly_mul(pt, t, {"popped": 0, "reinserted": 0})
+        # (p + q)(p - q) cancels its cross terms; in (p + pt + ptt)(p - pt + ptt)
+        # the p^2 t^2 terms reach 0 at the middle product and come back
+        f, g = rng.choice([(p, q), (p + q, p - q), (p + q, q - p), (p + pt + ptt, p - pt + ptt)])
+        got, want = f * g, _old_poly_mul(f, g, stats)
+        assert list(got.terms.items()) == list(want.terms.items())
+        for m in got.terms:
+            _assert_same_monomial(m, _old_mono_mul(Monomial.unit(), m))
+            for m2 in g.terms:
+                quotient = m.divide(m2)
+                assert quotient == _old_mono_divide(m, m2)
+                if quotient is not None:
+                    _assert_same_monomial(quotient.mul(m2), m)
+        for gen in got.generators():
+            for e, coeff in _to_univar(got, gen).items():
+                for rest, c in coeff.terms.items():
+                    m = rest.mul(Monomial.of(gen, e)) if e else rest
+                    _assert_same_monomial(m, next(k for k in got.terms if k == m))
+                    assert got.terms[m] == c
+        if case % 10:
+            continue  # parsing is slow; a tenth of the cases take that route
+        e = Expr.make(got)
+        parsed = parse_expr(str(e))
+        assert parsed == e and hash(parsed) == hash(e)
+        for m in parsed.num.terms:
+            _assert_same_monomial(m, next(k for k in e.num.terms if k == m))
+    # the corpus pops monomials at a zero partial sum and inserts them again
+    assert stats["popped"] > 100 and stats["reinserted"] > 10, stats
