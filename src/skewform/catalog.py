@@ -9,9 +9,10 @@ recovery) and the Green-theorem quadrature harness live here as well.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .symexpr import Expr, ExprError, ZERO, ONE, parse_expr
+from .symexpr import Expr, ExprError, PoleError, ZERO, ONE, compile_numeric, ln, parse_expr
 from .exterior import (
     Chart,
     DiffForm,
@@ -33,6 +34,7 @@ from .relations import (
     classify_on,
     degenerate_scan,
     integrate_chain,
+    pullback,
 )
 
 
@@ -144,49 +146,43 @@ def canonical_check(Q, P, q="q", p="p", seed=0):
 # -- quadrature (Green's theorem) -----------------------------------------------------
 
 
-def _py_source(e):
-    """Render an Expr as a numpy-evaluable Python expression string."""
-
-    def mono_src(m, c):
-        factors = []
-        if c != 1 or not m.items:
-            factors.append(f"({c.numerator}/{c.denominator})")
-        for g, ge in m.items:
-            if isinstance(g, str):
-                base = g
-            else:
-                fn = {"sin": "np.sin", "cos": "np.cos", "exp": "np.exp", "ln": "np.log"}[g.fn]
-                base = f"{fn}({_py_source(g.arg)})"
-            factors.append(base if ge == 1 else f"{base}**{ge}")
-        return "*".join(factors)
-
-    def poly_src(p):
-        if p.is_zero():
-            return "0.0"
-        return "(" + " + ".join(mono_src(m, c) for m, c in sorted(p.terms.items(), key=lambda t: t[0].sort_key())) + ")"
-
-    src = poly_src(e.num)
-    if not (e.den.is_const() and e.den.const_value() == 1):
-        src = f"({src})/({poly_src(e.den)})"
-    return src
+def _simpson_counts(n):
+    """3n times the composite Simpson weights on [0, 1] with n panels:
+    1, 4, 2, 4, ..., 2, 4, 1."""
+    return [1 if i in (0, n) else 4 if i % 2 else 2 for i in range(n + 1)]
 
 
-def _compile_xy(e):
-    import numpy as np
+def _simpson_moment(n, k):
+    """The moment M_k = sum_i w_i (i/n)^k of the composite Simpson weights
+    w_i on [0, 1] with n panels, exactly."""
+    return Fraction(sum(c * i ** k for i, c in enumerate(_simpson_counts(n))), 3 * n ** (k + 1))
 
-    src = f"lambda x, y: (({_py_source(e)}) + 0.0*x + 0.0*y)"
-    return eval(src, {"np": np})
+
+def _moment_sum(e, n, x=None, y=None):
+    """The composite Simpson sum of a polynomial e(x, y) over the unit
+    square, or along the edge where x or y is fixed at the given value, as
+    an exact rational: a term c x^a y^b contributes c * M_a * M_b, with x^a
+    in place of the moment M_a when x is fixed, and y^b likewise."""
+    total = Fraction(0)
+    for m, c in e.num.terms.items():  # e.den is the constant 1
+        powers = dict(m.items)
+        a, b = powers.get("x", 0), powers.get("y", 0)
+        fa = _simpson_moment(n, a) if x is None else x ** a
+        fb = _simpson_moment(n, b) if y is None else y ** b
+        total += c * fa * fb
+    return total
 
 
-def _simpson_weights(n, h):
-    if n % 2 or n < 2:
-        raise CatalogError(f"composite Simpson needs an even panel count, got {n}")
-    import numpy as np
-
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+def _grid_sum(e, n, x=None, y=None):
+    """The same sum in float, from e's values at the grid points."""
+    f = compile_numeric(e, ["x", "y"])
+    line = [(c, i / n) for i, c in enumerate(_simpson_counts(n))]
+    if x is not None:
+        return math.fsum(c * f([float(x), t]) for c, t in line) / (3 * n)
+    if y is not None:
+        return math.fsum(c * f([t, float(y)]) for c, t in line) / (3 * n)
+    rows = (ci * math.fsum(cj * f([s, t]) for cj, t in line) for ci, s in line)
+    return math.fsum(rows) / (9 * n * n)
 
 
 class GreenReport:
@@ -215,7 +211,11 @@ class GreenReport:
 
 def green_check(P, Q, grid_n=256):
     """Circulation of P dx + Q dy around the unit square against the area
-    integral of dQ/dx - dP/dy, both by composite Simpson with grid_n panels."""
+    integral of dQ/dx - dP/dy, both by composite Simpson with grid_n panels.
+
+    For polynomial P and Q the sums are exact, from the rule's moments, and
+    are rounded to float once; otherwise the integrands are evaluated in
+    float at the grid points."""
     if isinstance(P, str):
         P = parse_expr(P)
     if isinstance(Q, str):
@@ -223,28 +223,22 @@ def green_check(P, Q, grid_n=256):
     extra = (P.variables() | Q.variables()) - {"x", "y"}
     if extra:
         raise CatalogError(f"integrands must be functions of x and y only, found {sorted(extra)}")
-    fP = _compile_xy(P)
-    fQ = _compile_xy(Q)
+    if grid_n % 2 or grid_n < 2:
+        raise CatalogError(f"composite Simpson needs an even panel count, got {grid_n}")
     curl = Q.diff("x") - P.diff("y")
-    fC = _compile_xy(curl)
-
-    import numpy as np
-
-    s = np.linspace(0.0, 1.0, grid_n + 1)
-    w = _simpson_weights(grid_n, 1.0 / grid_n)
-    with np.errstate(all="ignore"):
-        edges = (
-            fP(s, np.zeros_like(s)) @ w
-            + fQ(np.ones_like(s), s) @ w
-            - fP(s, np.ones_like(s)) @ w
-            - fQ(np.zeros_like(s), s) @ w
+    polynomial = all(not e.has_atoms() and e.den.is_const() for e in (P, Q))
+    integrate = _moment_sum if polynomial else _grid_sum
+    try:
+        edges = float(
+            integrate(P, grid_n, y=0) + integrate(Q, grid_n, x=1)
+            - integrate(P, grid_n, y=1) - integrate(Q, grid_n, x=0)
         )
-        X, Y = np.meshgrid(s, s, indexing="ij")
-        vals = fC(X, Y)
-    if not np.all(np.isfinite(vals)) or not np.isfinite(edges):
+        area = float(integrate(curl, grid_n))
+    except (PoleError, OverflowError) as exc:
+        raise CatalogError("singular integrand on the unit square") from exc
+    if not (math.isfinite(edges) and math.isfinite(area)):
         raise CatalogError("singular integrand on the unit square")
-    area = w @ vals @ w
-    return GreenReport(float(edges), float(area), grid_n)
+    return GreenReport(edges, area, grid_n)
 
 
 # -- entry machinery ------------------------------------------------------------------
@@ -314,8 +308,6 @@ def _entry_poincare(rep, seed):
         theta = steps[0].right
         expected_theta = DiffForm.scalar(params, parse_expr("c^2*u/2"))
         rep.add("integrated scalar", theta == expected_theta, form_to_text(expected_theta), form_to_text(theta))
-        from .relations import pullback
-
         rep.add(
             "antiderivative verified: d_pi(theta) = omega_pi",
             ext_d(theta) == pullback(omega, traj),
@@ -375,9 +367,6 @@ def _entry_thermo_second(rep, seed):
     von = classify_on(r, gas, seed=seed)
     rep.add("state-surface closure", von.pi_closure is True, True, von.pi_closure)
     rep.add("state-surface classification", von.classification == CLOSED_RHS, CLOSED_RHS, von.classification)
-    from .relations import pullback
-    from .symexpr import ln
-
     entropy = Expr.const(Fraction(3, 2)) * ln(a) + ln(b)
     witness = classify(
         Relation(DiffForm.scalar(params, entropy), pullback(omega, gas)), seed=seed

@@ -16,6 +16,7 @@ rejected at construction so the kernel stays exact.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -46,20 +47,24 @@ def det_expr(rows):
 
 
 def _inertia(mat):
-    """(positive, negative) eigenvalue counts of a symmetric matrix of
-    rationals, exactly, by symmetric elimination (Sylvester's law of
-    inertia).  Their sum is the rank."""
+    """(positive, negative) eigenvalue counts of a symmetric matrix, by
+    symmetric elimination (Sylvester's law of inertia); their sum is the
+    rank.  Exact when every entry is rational.  When any entry is a float,
+    a pivot within 1e-9 of the largest |entry| counts as zero."""
     a = [list(row) for row in mat]
+    tol = 0
+    if any(isinstance(v, float) for row in a for v in row):
+        tol = 1e-9 * max(abs(v) for row in a for v in row)
     rest = list(range(len(a)))
     pos = neg = 0
     while rest:
-        p = next((i for i in rest if a[i][i]), None)
-        if p is None:
-            pair = next(((i, j) for i in rest for j in rest if a[i][j]), None)
-            if pair is None:
+        p = max(rest, key=lambda i: abs(a[i][i]))
+        if abs(a[p][p]) <= tol:
+            # every diagonal entry is within tol here, so a pair above tol is off the diagonal
+            i, j = max(((i, j) for i in rest for j in rest), key=lambda ij: abs(a[ij[0]][ij[1]]))
+            if abs(a[i][j]) <= tol:
                 break
-            # the congruence row_i += row_j, col_i += col_j puts 2*a[i][j] on the diagonal
-            i, j = pair
+            # the congruence row_i += row_j, col_i += col_j puts about 2*a[i][j] on the diagonal
             for k in rest:
                 a[i][k] += a[j][k]
             for k in rest:
@@ -139,29 +144,17 @@ class Metric:
         self.sign_det = 1 if (self.signature[1] % 2 == 0) else -1
 
     def _signature_at_sample(self, seed):
-        import random
-
         rng = random.Random(f"skewform-metric:{seed}:{[str(e) for r in self.rows for e in r]}")
         names = sorted({v for r in self.rows for e in r for v in e.variables()})
-        exact = not any(e.has_atoms() for r in self.rows for e in r)
         for _ in range(64):
             point = {v: Fraction(rng.randint(1, 4000), 1000) for v in names}
             try:
                 mat = [[e.eval(point) for e in row] for row in self.rows]
             except ExprError:
                 continue
-            if exact:
-                pos, neg = _inertia(mat)
-                if pos + neg == len(mat):  # else det g = 0 exactly here
-                    return (pos, neg)
-                continue
-            import numpy as np
-
-            mat = np.array([[float(v) for v in row] for row in mat], dtype=float)
-            if abs(np.linalg.det(mat)) < 1e-9:
-                continue
-            eig = np.linalg.eigvalsh(mat)
-            return (int(np.sum(eig > 0)), int(np.sum(eig < 0)))
+            pos, neg = _inertia(mat)
+            if pos + neg == len(mat):  # else g is singular here
+                return (pos, neg)
         raise MetricError("could not find a sample point with invertible metric")
 
     @staticmethod

@@ -69,7 +69,6 @@ class Pseudostructure:
             set().union(*(entry.variables() for row in jac for entry in row)) | set(self.params.variables)
         )
         rng = random.Random(f"skewform-rank:{seed}:{[str(self.mapping[v]) for v in self.ambient.variables]}")
-        exact = not any(e.has_atoms() for row in jac for e in row)
         best = 0
         for _ in range(16):
             point = {v: Fraction(rng.randint(-4000, 4000), 1000) for v in names}
@@ -77,15 +76,9 @@ class Pseudostructure:
                 mat = [[e.eval(point) for e in row] for row in jac]
             except ExprError:
                 continue
-            if exact:
-                # rank J = rank of the Gram matrix J^T J over Q
-                gram = [[sum(r[a] * r[b] for r in mat) for b in range(m)] for a in range(m)]
-                rank = sum(_inertia(gram))
-            else:
-                import numpy as np
-
-                mat = np.array([[float(v) for v in row] for row in mat], dtype=float)
-                rank = int(np.linalg.matrix_rank(mat, tol=1e-8))
+            # rank J = rank of the Gram matrix J^T J
+            gram = [[sum(r[a] * r[b] for r in mat) for b in range(m)] for a in range(m)]
+            rank = sum(_inertia(gram))
             best = max(best, rank)
             if best >= m:
                 return

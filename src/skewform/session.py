@@ -22,14 +22,15 @@ from .exterior import (
     is_exact,
     parse_form,
 )
-from .manifold import Connection
-from .duality import Metric
+from .manifold import Connection, evo_d
+from .duality import Metric, dual_closure_check
 from .relations import (
     Pseudostructure,
     Relation,
     classify,
     classify_on,
     degenerate_scan,
+    dual_closure_on,
     integrate_chain,
 )
 from . import catalog as catalog_mod
@@ -93,6 +94,17 @@ def _take_expect(text, line, choices):
     if choices and value not in choices:
         raise SessionError(f"expect value must be one of {', '.join(choices)}; got {value!r}", line)
     return text[:idx].strip(), value
+
+
+def _take_on(session, text, line):
+    """Strip a trailing `on <pseudo>` clause; returns (rest, name|None)."""
+    if " on " not in text:
+        return text, None
+    text, _, name = text.rpartition(" on ")
+    name = name.strip()
+    if name not in session.pseudos:
+        raise SessionError(f"undefined pseudostructure {name!r}", line)
+    return text, name
 
 
 def _require_chart(session, line):
@@ -313,13 +325,7 @@ def _parse_command(session, head, rest, lineno):
     if head == "classify":
         _require_chart(session, lineno)
         rest, expect = _take_expect(rest, lineno, VERDICT_NAMES)
-        pseudo = None
-        if " on " in rest:
-            rest, _, pseudo_name = rest.rpartition(" on ")
-            pseudo_name = pseudo_name.strip()
-            if pseudo_name not in session.pseudos:
-                raise SessionError(f"undefined pseudostructure {pseudo_name!r}", lineno)
-            pseudo = pseudo_name
+        rest, pseudo = _take_on(session, rest, lineno)
         relation = _resolve_relation(session, rest, lineno)
         return {"kind": "classify", "line": lineno, "relation": relation, "on": pseudo, "expect": expect}
     if head == "check":
@@ -334,14 +340,9 @@ def _parse_command(session, head, rest, lineno):
                 "with": None, "on": None,
             }
         if what in ("dualclosed", "evoclosed"):
-            pseudo = None
-            if " on " in body:
-                body, _, pseudo_name = body.rpartition(" on ")
-                pseudo = pseudo_name.strip()
-                if pseudo not in session.pseudos:
-                    raise SessionError(f"undefined pseudostructure {pseudo!r}", lineno)
-                if what == "evoclosed":
-                    raise SessionError("`on <pseudo>` applies to dualclosed checks only", lineno)
+            body, pseudo = _take_on(session, body, lineno)
+            if pseudo is not None and what == "evoclosed":
+                raise SessionError("`on <pseudo>` applies to dualclosed checks only", lineno)
             if " with " not in body:
                 raise SessionError(
                     f"check {what} needs `with <{'metric' if what == 'dualclosed' else 'connection'}>`",
@@ -403,12 +404,9 @@ def _parse_command(session, head, rest, lineno):
                 steps = int(steps_text.strip())
             except ValueError as exc:
                 raise SessionError(f"bad steps count {steps_text!r}", lineno) from exc
-        if " on " not in rest:
+        rel_text, pseudo_name = _take_on(session, rest, lineno)
+        if pseudo_name is None:
             raise SessionError("chain command is `chain <relation> on <pseudo> [steps N]`", lineno)
-        rel_text, _, pseudo_name = rest.rpartition(" on ")
-        pseudo_name = pseudo_name.strip()
-        if pseudo_name not in session.pseudos:
-            raise SessionError(f"undefined pseudostructure {pseudo_name!r}", lineno)
         relation = _resolve_relation(session, rel_text, lineno)
         return {"kind": "chain", "line": lineno, "relation": relation, "on": pseudo_name, "steps": steps}
     if head == "catalog":
@@ -489,9 +487,6 @@ def _run_command(session, cmd, record, seed, tolerance, max_steps):
             result = witness is not None
             record["witness"] = None if witness is None else form_to_text(witness)
         elif cmd["what"] == "dualclosed":
-            from .duality import dual_closure_check
-            from .relations import dual_closure_on
-
             metric = session.metrics[cmd["with"]]
             record["with"] = cmd["with"]
             if cmd["on"] is not None:
@@ -500,8 +495,6 @@ def _run_command(session, cmd, record, seed, tolerance, max_steps):
             else:
                 result = dual_closure_check(form, metric, seed=seed)
         else:  # evoclosed
-            from .manifold import evo_d
-
             connection = session.connections[cmd["with"]]
             record["with"] = cmd["with"]
             result = all_zero(evo_d(form, connection).terms.values(), seed).value
@@ -680,7 +673,7 @@ def _command_to_text(session, cmd):
     if kind == "scan":
         if cmd["scan_kind"] == "poisson":
             pairing = ", ".join(f"{q}:{p}" for q, p in cmd["pairing"])
-            text = f"scan poisson {cmd['exprs'][0]}, {cmd['exprs'][1]} with ({pairing})"
+            text = f"scan poisson {', '.join(str(e) for e in cmd['exprs'])} with ({pairing})"
         elif cmd["scan_kind"] == "jacobian":
             text = "scan jacobian " + ", ".join(str(e) for e in cmd["exprs"])
         else:

@@ -103,9 +103,20 @@ class TestGreenCheck:
         assert e256 > 0
         assert 8.0 <= e128 / e256 <= 32.0
 
+    def test_cubic_pair_is_exact(self):
+        # polynomial integrands are summed exactly from the Simpson moments,
+        # and Simpson integrates cubics exactly
+        rep = green_check("-y^3", "x^3", grid_n=256)
+        assert rep.circulation == 2.0
+        assert rep.abs_diff == 0.0
+
     def test_singular_integrand(self):
         with pytest.raises(CatalogError):
             green_check("1/x", "0", grid_n=16)
+
+    def test_overflowing_integrand(self):
+        with pytest.raises(CatalogError):
+            green_check("exp(700*x)*exp(600*y)", "0", grid_n=16)
 
     def test_odd_grid_rejected(self):
         with pytest.raises(CatalogError):
@@ -121,6 +132,22 @@ class TestGreenCheck:
         rep = green_check(P, Q, grid_n=64)
         assert abs(rep.circulation) < 1e-9
         assert rep.abs_diff < 1e-9
+
+    def test_float_grid_matches_numpy_reference(self):
+        np = pytest.importorskip("numpy")
+        n = 64
+        rep = green_check("-y*exp(x)", "x*sin(y)", grid_n=n)
+        s = np.linspace(0.0, 1.0, n + 1)
+        w = np.ones(n + 1)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        w *= (1.0 / n) / 3.0
+        # P(s, 0) = 0 on the bottom edge and Q(0, s) = 0 on the left one
+        circulation = (np.sin(s) @ w) - (-np.exp(s) @ w)
+        X, Y = np.meshgrid(s, s, indexing="ij")
+        area = w @ (np.sin(Y) + np.exp(X)) @ w
+        assert rep.area_integral != 0.0
+        assert abs(rep.circulation - circulation) < 1e-12
+        assert abs(rep.area_integral - area) < 1e-12
 
 
 class TestEntries:

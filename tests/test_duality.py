@@ -9,6 +9,7 @@ from skewform.symexpr import Expr, parse_expr
 from skewform.exterior import Chart, DiffForm, ext_d, parse_form, wedge
 from skewform.duality import (
     Metric,
+    _inertia,
     MetricError,
     christoffel,
     codifferential,
@@ -71,6 +72,10 @@ class TestMetricConstruction:
     def test_signature_with_atoms_uses_float_fallback(self):
         g = Metric.diagonal(ch2, [Expr.const(-1), parse_expr("exp(x)^2")])
         assert g.signature == (1, 1)
+
+    def test_signature_with_atoms_and_zero_diagonal(self):
+        e = parse_expr("exp(x)")
+        assert Metric(ch2, [[Expr.const(0), e], [e, Expr.const(0)]]).signature == (1, 1)
 
     def test_inverse_cached_exact(self):
         g = Metric.diagonal(ch2, [Expr.const(4), x ** 2])
@@ -278,9 +283,11 @@ class TestAdjointness:
         X, Y = np.meshgrid(s, s, indexing="ij")
 
         def integrate(e):
-            from skewform.catalog import _compile_xy
+            from skewform.symexpr import compile_numeric
 
-            return float(w @ _compile_xy(e)(X, Y) @ w)
+            f = compile_numeric(e, ["x", "y"])
+            vals = np.array([[f([float(u), float(v)]) for u, v in zip(xs, ys)] for xs, ys in zip(X, Y)])
+            return float(w @ vals @ w)
 
         assert abs(integrate(integrand1) - integrate(integrand2)) < 1e-3
 
@@ -306,6 +313,22 @@ class TestChristoffel:
         assert all(
             c[(s, a, b)].is_zero_struct() for s in range(2) for a in range(2) for b in range(2)
         )
+
+
+class TestInertia:
+    def test_exact_for_rationals(self):
+        near = [[1, 1], [1, 1 + Fraction(1, 10 ** 12)]]
+        assert _inertia(near) == (2, 0)
+        assert _inertia([[0, 1], [1, 0]]) == (1, 1)
+        assert _inertia([[1, 2], [2, 4]]) == (1, 0)
+
+    def test_relative_tolerance_for_floats(self):
+        # a pivot within 1e-9 of the largest |entry| counts as zero
+        assert _inertia([[1.0, 1.0], [1.0, 1.0 + 1e-12]]) == (1, 0)
+        assert _inertia([[1e20, 1e20], [1e20, 1e20 + 1e8]]) == (1, 0)
+        assert _inertia([[1e-20, 0.0], [0.0, -1e-20]]) == (1, 1)
+        assert _inertia([[0.0, 1e-30], [1e-30, 0.0]]) == (1, 1)
+        assert _inertia([[0.0, 0.0], [0.0, 0.0]]) == (0, 0)
 
 
 class TestDeterminantHelpers:

@@ -1,5 +1,5 @@
 """End-to-end guards: the committed session corpora keep their report bytes,
-the demos run, and importing the package does not load numpy."""
+the demos run, and the package neither loads nor needs numpy."""
 
 import os
 import subprocess
@@ -47,6 +47,40 @@ def test_golden_scan_report_bytes(name, monkeypatch, capsys):
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# a meta-path finder that makes every `import numpy` fail
+_BLOCK_NUMPY = """
+import sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy is blocked")
+
+sys.meta_path.insert(0, BlockNumpy())
+"""
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import skewform",
+        "from skewform.cli import main; sys.exit(main(['catalog', 'run', '--all', '--json', '--seed', '3']))",
+        "from skewform.cli import main; sys.exit(main(['check', 'tests/data/golden_session.sf', '--json']))",
+    ],
+    ids=["import", "catalog-run-all", "check-golden"],
+)
+def test_runs_without_numpy(code):
+    def run(source):
+        return subprocess.run(
+            [sys.executable, "-c", _BLOCK_NUMPY + source], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120
+        )
+
+    blocked = run("import numpy")
+    assert blocked.returncode != 0 and "numpy is blocked" in blocked.stderr
+    proc = run(code)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -84,6 +84,13 @@ class TestPseudostructure:
         with pytest.raises(RelationError):
             Pseudostructure(Chart(["x", "y", "z"]), par2, {"x": parse_expr("sin(u)"), "y": parse_expr("2*sin(u)"), "z": u})
 
+    def test_rank_with_atoms_rejects_rounded_rank_one_jacobian(self):
+        # every row of the Jacobian is a multiple of (v, u): generic rank 1,
+        # though the rounded float entries make J^T J nonsingular
+        mapping = {"x": parse_expr("sin(u*v)"), "y": parse_expr("cos(u*v)"), "z": parse_expr("u*v")}
+        with pytest.raises(RelationError):
+            Pseudostructure(Chart(["x", "y", "z"]), par2, mapping)
+
 
 class TestPullback:
     def test_degenerate_line(self):

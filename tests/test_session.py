@@ -183,6 +183,18 @@ class TestRoundTrip:
             b.pop("line")
         assert r1["commands"] == r2["commands"]
 
+    def test_poisson_scan_prints_every_expression(self):
+        s1 = parse_session("chart x y\nscan poisson x, y, x*y with (x:y)\n")
+        text = session_to_text(s1)
+        assert "scan poisson x, y, x*y with (x:y)" in text
+        r1 = run_session(s1, seed=5)
+        r2 = run_session(parse_session(text), seed=5)
+        assert "error" in r1["commands"][0]
+        for a, b in zip(r1["commands"], r2["commands"]):
+            a.pop("line")
+            b.pop("line")
+        assert r1 == r2
+
 
 def run_cli(*args, **kw):
     return subprocess.run(
