@@ -398,8 +398,10 @@ def _parse_command(session, head, rest, lineno):
     if head == "chain":
         _require_chart(session, lineno)
         steps = None
-        if " steps " in rest:
-            rest, _, steps_text = rest.rpartition(" steps ")
+        # a trailing `steps` with no count is a bad count; `on steps` names a pseudostructure
+        body, sep, steps_text = (rest + " ").rpartition(" steps ")
+        if sep and not body.endswith(" on"):
+            rest, steps_text = body, steps_text[:-1]
             try:
                 steps = int(steps_text.strip())
             except ValueError as exc:
@@ -577,8 +579,8 @@ def report_to_text(report):
                 detail += f" (pi closure: {rec['verdict'].get('pi_closure')})"
         elif rec["command"] == "check":
             detail = f" {rec.get('what')} {rec.get('form')} -> {rec.get('result')}"
-        elif rec["command"] == "scan":
-            scan = rec.get("scan", {})
+        elif rec["command"] == "scan" and "scan" in rec:
+            scan = rec["scan"]
             detail = (
                 f" {scan.get('kind')}: {scan.get('expression')} "
                 f"(identically zero: {scan.get('identically_zero')}, "

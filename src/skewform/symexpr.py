@@ -274,6 +274,11 @@ class Poly:
         return self._key
 
     def __add__(self, other):
+        # an empty operand returns the other: the loop below would copy it
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         res = dict(self.terms)
         for m, c in other.terms.items():
             s = res.get(m, _F0) + c
@@ -284,6 +289,10 @@ class Poly:
         return _nonzero_poly(res)
 
     def __sub__(self, other):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
         res = dict(self.terms)
         for m, c in other.terms.items():
             s = res.get(m, _F0) - c
@@ -304,6 +313,15 @@ class Poly:
         # order (a float contract; see docs/CONVENTIONS.md).
         if not self.terms or not other.terms:
             return Poly({})
+        # A constant factor c scales the other term by term in its order,
+        # the dict the merge below builds (it never pops there); c == 1
+        # returns the other factor itself, as a Poly is immutable.
+        if other.is_const():
+            c = other.const_value()
+            return self if c == 1 else self.scale(c)
+        if self.is_const():
+            c = self.const_value()
+            return other if c == 1 else other.scale(c)
         da, a = self._int_terms()
         db, b = other._int_terms()
         res = {}

@@ -118,6 +118,10 @@ class TestParse:
         s2 = parse_session(session_to_text(parse_session(text)))
         assert run_session(s2)["ok"] is True
 
+    def test_chain_on_a_pseudostructure_named_steps(self):
+        s = parse_session(DEMO.replace("traj", "steps"))
+        assert s.commands[-2]["on"] == "steps" and s.commands[-2]["steps"] is None
+
     def test_check_with_undefined_metric(self):
         with pytest.raises(SessionError, match="undefined metric"):
             parse_session("chart x y\ncheck dualclosed d[x] with g\n")
@@ -163,6 +167,14 @@ class TestRun:
         text = report_to_text(run_session(parse_session(DEMO)))
         assert "result: ok" in text
         assert "NONIDENTICAL" in text
+
+    def test_failed_scan_text_shows_only_the_error(self):
+        report = run_session(parse_session("chart x y\nscan poisson x, y, x*y with (x:y)\n"))
+        assert "scan" not in report["commands"][0]
+        assert report_to_text(report).splitlines()[1:3] == [
+            "[!!] line 2: scan",
+            "      error: poisson scan takes exactly two scalar expressions",
+        ]
 
 
 class TestRoundTrip:
@@ -210,6 +222,14 @@ class TestCli:
         bad = tmp_path / "bad.sf"
         bad.write_text("chart x y\nform w = y*d[x] + x*d[y]\ncheck closed w expect false\n")
         assert run_cli("check", str(bad)).returncode == 1
+
+    @pytest.mark.parametrize("tail, count", [("steps", "''"), ("steps x", "'x'")])
+    def test_chain_bad_steps_count(self, tmp_path, tail, count):
+        f = tmp_path / "chain.sf"
+        f.write_text(DEMO.replace("chain r on traj", f"chain r on traj {tail}"))
+        proc = run_cli("check", str(f))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: line 14: bad steps count {count}"
 
     def test_check_diagnostic_exit(self, tmp_path):
         f = tmp_path / "broken.sf"

@@ -526,3 +526,59 @@ def test_merge_multiply_matches_sorted_dict_multiply():
             _assert_same_monomial(m, next(k for k in e.num.terms if k == m))
     # the corpus pops monomials at a zero partial sum and inserts them again
     assert stats["popped"] > 100 and stats["reinserted"] > 10, stats
+
+
+def _old_poly_add(p, q, sign):
+    res = dict(p.terms)
+    for m, c in q.terms.items():
+        s = res.get(m, Fraction(0)) + sign * c
+        if s:
+            res[m] = s
+        else:
+            res.pop(m, None)
+    return Poly(res)
+
+
+def test_trivial_operands_match_the_general_paths():
+    """A constant factor and an empty summand give the terms, dict order and
+    Fraction coefficients of the general multiply and add/sub loops."""
+    rng = random.Random("trivial-operands")
+    gens = ["x", "y", "z"] + [
+        atom
+        for text in ("sin(exp(z) - x)", "exp(sin(y)^2 + 1/3)", "exp(y + 1/2)")
+        for atom in parse_expr(text).num.generators()
+        if not isinstance(atom, str)
+    ]
+    zero = Poly.const(0)
+    stats = {"popped": 0, "reinserted": 0}
+    for _ in range(200):
+        p = _random_kernel_poly(rng, gens)
+        pairs = [(p + zero, _old_poly_add(p, zero, 1)), (zero + p, _old_poly_add(zero, p, 1)),
+                 (p - zero, _old_poly_add(p, zero, -1)), (zero - p, _old_poly_add(zero, p, -1))]
+        for k in (Poly.const(1), Poly.one(), Poly.const(-1), Poly.const(Fraction(2, 3))):
+            pairs += [(p * k, _old_poly_mul(p, k, stats)), (k * p, _old_poly_mul(k, p, stats))]
+        for got, want in pairs:
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert all(type(c) is Fraction for c in got.terms.values())
+    # the general multiply never pops over a one-term unit factor
+    assert stats["popped"] == 0
+
+
+def test_constant_factor_makes_no_monomial_products(monkeypatch):
+    """Products by a constant and sums of polynomial Exprs skip the merge:
+    they call `Monomial.mul` not at all, where the merge calls it per term."""
+    p = parse_expr("x^2*y + sin(x)*y - 3").num
+    a, b = parse_expr("x*y + 1"), parse_expr("y^2 - x/2")
+    want_scaled, want_sum = p.scale(Fraction(3)), parse_expr("x*y + 1 + y^2 - x/2")
+    calls = []
+    real_mul = Monomial.mul
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Monomial, "mul", counting_mul)
+    assert p * Poly.const(1) == p
+    assert Poly.const(3) * p == want_scaled
+    assert a + b == want_sum
+    assert calls == []
