@@ -400,7 +400,7 @@ def _parse_command(session, head, rest, lineno):
         steps = None
         # a trailing `steps` with no count is a bad count; `on steps` names a pseudostructure
         body, sep, steps_text = (rest + " ").rpartition(" steps ")
-        if sep and not body.endswith(" on"):
+        if sep and not body.rstrip().endswith(" on"):
             rest, steps_text = body, steps_text[:-1]
             try:
                 steps = int(steps_text.strip())

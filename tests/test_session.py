@@ -118,8 +118,10 @@ class TestParse:
         s2 = parse_session(session_to_text(parse_session(text)))
         assert run_session(s2)["ok"] is True
 
-    def test_chain_on_a_pseudostructure_named_steps(self):
-        s = parse_session(DEMO.replace("traj", "steps"))
+    @pytest.mark.parametrize("gap", [" ", "  "])
+    def test_chain_on_a_pseudostructure_named_steps(self, gap):
+        text = DEMO.replace("traj", "steps").replace("chain r on steps", f"chain r on{gap}steps")
+        s = parse_session(text)
         assert s.commands[-2]["on"] == "steps" and s.commands[-2]["steps"] is None
 
     def test_check_with_undefined_metric(self):
