@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .symexpr import Expr, ExprError, ONE, ZERO, all_zero, zero_test, _poly_sqrt
+from .symexpr import Expr, ExprError, ONE, ZERO, all_zero, zero_test, _POLY_ONE, _POLY_ZERO, _poly_sqrt
 from .exterior import Chart, ChartError, DiffForm, FormError, ext_d
 from .manifold import Connection
 
@@ -30,20 +30,55 @@ class MetricError(ExprError):
 
 
 def det_expr(rows):
-    """Determinant of a square matrix of Exprs by Laplace expansion."""
+    """Determinant of a square matrix of Exprs.
+
+    Each row is multiplied by the product of its distinct non-constant
+    denominators, which leaves a matrix of polynomials.  Its determinant is
+    the Laplace expansion along the first row, top-down, with the minor of
+    the lower rows on each column tuple computed once (n 2^(n-1) products,
+    no division, no gcd); a zero entry or a zero minor prunes its branch.
+    The one division, by the product of the row scales, is an `Expr.make`
+    at the end.  On a polynomial matrix this performs the products and sums
+    of plain Laplace expansion in its order."""
     n = len(rows)
     if n == 0:
         return ONE
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    for j in range(n):
-        if rows[0][j].is_zero_struct():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * det_expr(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    mat, den = [], _POLY_ONE
+    for row in rows:
+        dens = []
+        for e in row:
+            if not e.den.is_const() and e.den not in dens:
+                dens.append(e.den)
+                den = den * e.den
+        cleared = []
+        for e in row:
+            num = e.num
+            for d in dens:
+                if d != e.den:
+                    num = num * d
+            cleared.append(num)
+        mat.append(cleared)
+    memo = {}
+
+    def minor(cols):
+        """Determinant of the last len(cols) rows on the columns cols."""
+        if len(cols) == 1:
+            return mat[n - 1][cols[0]]
+        got = memo.get(cols)
+        if got is None:
+            row = mat[n - len(cols)]
+            got = _POLY_ZERO
+            for k, j in enumerate(cols):
+                if not row[j].terms:
+                    continue
+                sub = minor(cols[:k] + cols[k + 1:])
+                if sub.terms:
+                    term = row[j] * sub
+                    got = got + term if k % 2 == 0 else got - term
+            memo[cols] = got
+        return got
+
+    return Expr.make(minor(tuple(range(n))), den)
 
 
 def _inertia(mat):

@@ -310,7 +310,7 @@ class Poly:
         # sums are ints, zero exactly when the Fraction sums would be.  The
         # dict sees the same inserts and pops in the same order as
         # term-by-term Fraction arithmetic, so `terms` iterates in the same
-        # order (a float contract; see docs/CONVENTIONS.md).
+        # order (floats do not depend on it; see docs/CONVENTIONS.md).
         if not self.terms or not other.terms:
             return Poly({})
         # A constant factor c scales the other term by term in its order,
@@ -794,10 +794,21 @@ class Expr:
             return Expr.const(x)
         return NotImplemented
 
+    # The shortcuts in +, -, negation and * build the Poly that Expr.make
+    # builds on the general path, in the same dict order, without its gcd:
+    # a zero operand, a negation, a constant factor, and a sum or difference
+    # of two polynomials (canonical constant denominators are always 1).
+
     def __add__(self, other):
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
+        if self.den.is_const() and other.den.is_const():
+            return _polynomial_expr(self.num + other.num)
         return Expr.make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -806,6 +817,12 @@ class Expr:
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return -other
+        if self.den.is_const() and other.den.is_const():
+            return _polynomial_expr(self.num - other.num)
         return Expr.make(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
@@ -815,13 +832,24 @@ class Expr:
         return other - self
 
     def __neg__(self):
-        return Expr.make(-self.num, self.den)
+        return Expr(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.is_rational_constant():
+            return self._scaled(other.num)
+        if self.is_rational_constant():
+            return other._scaled(self.num)
         return Expr.make(self.num * other.num, self.den * other.den)
+
+    def _scaled(self, c):
+        """self times the constant Poly c (1, 0 or any other rational)."""
+        if not c.terms:
+            return ZERO
+        q = c.const_value()
+        return self if q == 1 else Expr(self.num.scale(q), self.den, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -907,6 +935,11 @@ class Expr:
 
 ZERO = Expr(_POLY_ZERO, _POLY_ONE, _canonical=True)
 ONE = Expr(_POLY_ONE, _POLY_ONE, _canonical=True)
+
+
+def _polynomial_expr(num):
+    """Expr.make(num) for a Poly num: canonical as it stands."""
+    return Expr(num, _POLY_ONE, _canonical=True) if num.terms else ZERO
 
 
 def _make_atom_expr(fn, arg):
@@ -1021,8 +1054,10 @@ def compile_numeric(expr, names):
     float when it has elementary-function atoms or any value in the point
     is a float (even one bound to a name the expression does not use), and
     exactly otherwise.  Float evaluation performs the operations of a
-    term-by-term walk in the same order (`val * gv ** e` per factor,
-    `total + val` per term), so its results are bit-identical to it.
+    term-by-term walk (`val * gv ** e` per factor, `total + val` per term)
+    over each polynomial's terms in descending `Monomial.sort_key()` order,
+    sorted once here: a value depends on the polynomial, not on the order
+    in which its `terms` dict was built.
     Exact evaluation sums integer numerators over a common denominator and
     yields the same rational as Fraction arithmetic; the value of an exact
     top-level expression is a Fraction.  A zero denominator, or a domain
@@ -1052,7 +1087,7 @@ def compile_numeric(expr, names):
 
     def float_terms(p):
         terms = []
-        for m, c in p.terms.items():
+        for m, c in sorted(p.terms.items(), key=lambda t: t[0].sort_key(), reverse=True):
             factors = tuple((slot_of(g), e) for g, e in m.items)
             try:
                 terms.append((float(c), factors))

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from skewform.symexpr import Expr, parse_expr
+from skewform.symexpr import ONE, ZERO, Expr, parse_expr
 from skewform.exterior import Chart, DiffForm, ext_d, parse_form, wedge
 from skewform.duality import (
     Metric,
@@ -341,3 +341,89 @@ class TestDeterminantHelpers:
         assert sqrt_expr(parse_expr("4*x^2")) == 2 * x
         assert sqrt_expr(parse_expr("x^2 + 1")) is None
         assert sqrt_expr(parse_expr("9/4")) == Expr.const(Fraction(3, 2))
+
+
+# The Laplace expansion over Expr that the memoized expansion replaced, kept
+# verbatim as the oracle for it.
+
+
+def _old_det_expr(rows):
+    """Determinant of a square matrix of Exprs by Laplace expansion."""
+    n = len(rows)
+    if n == 0:
+        return ONE
+    if n == 1:
+        return rows[0][0]
+    total = ZERO
+    for j in range(n):
+        if rows[0][j].is_zero_struct():
+            continue
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = rows[0][j] * _old_det_expr(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+_DET_ATOMS = [parse_expr(t) for t in ("sin(x)", "exp(y)", "exp(x - y)")]
+_DET_DENOMINATORS = [parse_expr(t) for t in ("x + 1", "y^2 + 1", "x*y - 2", "sin(x) + 2")]
+
+
+def _det_entry(rng, dens):
+    """A random entry over x, y, sometimes with an atom; over one of `dens`
+    (the row's denominators) when there are any."""
+    if rng.random() < 0.2:
+        return ZERO
+    e = ZERO
+    for _ in range(rng.randint(1, 2 if dens else 3)):
+        t = Expr.const(Fraction(rng.randint(-4, 4) or 1, rng.choice([1, 1, 2, 3])))
+        for v in (x, y):
+            t = t * v ** rng.randint(0, 1 if dens else 2)
+        if rng.random() < 0.2:
+            t = t * rng.choice(_DET_ATOMS)
+        e = e + t
+    if dens and rng.random() < 0.6:
+        e = e / rng.choice(dens)
+    return e
+
+
+def _det_case(rng, n, rational):
+    """A random n x n matrix; in a rational one, about half the rows have
+    one or two denominators.  Some have a zero row or column, a repeated
+    row or a row that is the sum of two others."""
+    rows = []
+    for _ in range(n):
+        dens = rng.sample(_DET_DENOMINATORS, rng.randint(1, 2)) if rational and rng.random() < 0.5 else []
+        rows.append([_det_entry(rng, dens) for _ in range(n)])
+    shape = rng.choice(["dense", "dense", "zero row", "zero column", "repeated row", "sum of rows"])
+    if n >= 1 and shape == "zero row":
+        rows[rng.randrange(n)] = [ZERO] * n
+    elif n >= 1 and shape == "zero column":
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = ZERO
+    elif n >= 2 and shape == "repeated row":
+        i, k = rng.sample(range(n), 2)
+        rows[i] = list(rows[k])
+    elif n >= 3 and shape == "sum of rows":
+        i, k, m = rng.sample(range(n), 3)
+        rows[i] = [a + b for a, b in zip(rows[k], rows[m])]
+    return rows, shape
+
+
+def test_memoized_det_matches_laplace_expansion():
+    """Equal Exprs on every matrix, and on polynomial matrices the same
+    numerator terms in the same dict order as the Laplace expansion."""
+    rng = random.Random("det-old-vs-new")
+    shapes = set()
+    singular = polynomial = 0
+    for case in range(300):
+        n, rational = case % 6, case % 12 >= 6
+        rows, shape = _det_case(rng, n, rational)
+        got, want = det_expr(rows), _old_det_expr(rows)
+        assert got == want, (case, [[str(e) for e in row] for row in rows])
+        if all(e.den.is_const() for row in rows for e in row):
+            polynomial += 1
+            assert list(got.num.terms.items()) == list(want.num.terms.items()), case
+        shapes.add(shape)
+        singular += n >= 1 and got.is_zero_struct()
+    assert len(shapes) == 5 and singular > 100 and 150 < polynomial < 250, (shapes, singular, polynomial)

@@ -24,6 +24,7 @@ from skewform.symexpr import (
     zero_test,
     _to_univar,
 )
+from skewform import symexpr
 from skewform.exterior import MAX_NESTING
 from conftest import random_poly
 
@@ -276,7 +277,9 @@ class TestEval:
 
 
 # The term-by-term evaluator that `compile_numeric` replaced, kept verbatim
-# (apart from the recursion into atom arguments) as the oracle for it.
+# (apart from the recursion into atom arguments) as the oracle for it, with
+# one deliberate change: it walks each polynomial's terms in the canonical
+# float order (descending `Monomial.sort_key()`), not in dict order.
 
 _ORACLE_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
 
@@ -296,7 +299,7 @@ def _oracle_eval(expr, point=None):
 
 def _oracle_poly_eval(p, point, numeric):
     total = 0.0 if numeric else Fraction(0)
-    for m, c in p.terms.items():
+    for m, c in sorted(p.terms.items(), key=lambda t: t[0].sort_key(), reverse=True):
         val = float(c) if numeric else c
         for g, e in m.items:
             if isinstance(g, str):
@@ -385,6 +388,41 @@ def test_compile_numeric_bit_identical_to_term_evaluator():
                 seen.add(want[:2])
     # the corpus reaches exact and float values, poles and overflows
     assert {("value", "Fraction"), ("value", "float"), ("raises", "PoleError"), ("raises", "OverflowError")} <= seen
+
+
+def test_compile_numeric_float_order_is_canonical():
+    """One polynomial built through two histories, whose `terms` dicts
+    iterate in different orders, evaluates to bit-identical floats: float
+    terms are summed in descending `Monomial.sort_key()` order."""
+    terms = [parse_expr(t) for t in ("10^8*x^3", "-x*y^2/3", "7/11*y^3", "x*sin(y)", "-10^8*x^2*y", "1/7")]
+    up, down = Expr.const(0), Expr.const(0)
+    for t in terms:
+        up = up + t
+    for t in reversed(terms):
+        down = down + t
+    assert up == down and list(up.num.terms) != list(down.num.terms)
+    f_up, f_down = compile_numeric(up, ["x", "y"]), compile_numeric(down, ["x", "y"])
+    rng = random.Random("float-order")
+    moved = 0
+    for _ in range(200):
+        point = [rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)]
+        assert repr(f_up(point)) == repr(f_down(point)) == repr(up.eval(dict(zip("xy", point))))
+        # summed in dict order, the two histories disagree in the last bits
+        moved += _oracle_dict_order(up, point) != _oracle_dict_order(down, point)
+    assert moved > 20, moved
+
+
+def _oracle_dict_order(e, point):
+    """The oracle's float sum of e's numerator, in dict order."""
+    env = dict(zip("xy", point))
+    total = 0.0
+    for m, c in e.num.terms.items():
+        val = float(c)
+        for g, k in m.items:
+            gv = env[g] if isinstance(g, str) else _ORACLE_FN[g.fn](float(_oracle_eval(g.arg, env)))
+            val = val * gv ** k
+        total = total + val
+    return total
 
 
 def test_compile_numeric_coefficient_beyond_float_range():
@@ -581,4 +619,50 @@ def test_constant_factor_makes_no_monomial_products(monkeypatch):
     assert p * Poly.const(1) == p
     assert Poly.const(3) * p == want_scaled
     assert a + b == want_sum
+    assert calls == []
+
+
+def _general_add(a, b, sign):
+    return Expr.make(a.num * b.den + b.num * a.den if sign > 0 else a.num * b.den - b.num * a.den, a.den * b.den)
+
+
+def test_expr_shortcuts_match_make_without_gcd(monkeypatch):
+    """A zero operand, a negation, a constant factor and a sum or difference
+    of two polynomials give the Expr, and the `terms` order of numerator and
+    denominator, of the general `Expr.make` path, without calling poly_gcd."""
+    a, b = parse_expr("(x + sin(y))/(y^2 - 2)"), parse_expr("x^2*y - 3*y + 1/2")
+    c, zero, one = Expr.const(Fraction(-3, 4)), Expr.const(0), Expr.const(1)
+    p, q = parse_expr("x*y + 1 - exp(x)"), parse_expr("y^2 - x/2 - 1 + exp(x)")
+    cases = [
+        (lambda: a + zero, lambda: _general_add(a, zero, 1)),
+        (lambda: zero + a, lambda: _general_add(zero, a, 1)),
+        (lambda: a - zero, lambda: _general_add(a, zero, -1)),
+        (lambda: zero - a, lambda: _general_add(zero, a, -1)),
+        (lambda: -a, lambda: Expr.make(-a.num, a.den)),
+        (lambda: -b, lambda: Expr.make(-b.num, b.den)),
+        (lambda: p + q, lambda: _general_add(p, q, 1)),
+        (lambda: p - q, lambda: _general_add(p, q, -1)),
+        (lambda: q - p - b, lambda: _general_add(_general_add(q, p, -1), b, -1)),
+        (lambda: p - p, lambda: _general_add(p, p, -1)),
+    ]
+    for u in (a, b, c, one, zero):
+        for v in (c, one, zero):
+            cases += [(lambda u=u, v=v: u * v, lambda u=u, v=v: Expr.make(u.num * v.num, u.den * v.den))]
+            cases += [(lambda u=u, v=v: v * u, lambda u=u, v=v: Expr.make(v.num * u.num, v.den * u.den))]
+    wants = [want() for _, want in cases] + [_general_add(a, b, 1)]
+    calls = []
+    real_gcd = symexpr.poly_gcd
+
+    def counting_gcd(f, g):
+        calls.append((f, g))
+        return real_gcd(f, g)
+
+    monkeypatch.setattr(symexpr, "poly_gcd", counting_gcd)
+    assert a + b == wants[-1] and len(calls) == 1  # the counter sees the general path
+    calls.clear()
+    for (got, _), want in zip(cases, wants):
+        got = got()
+        assert got == want
+        assert list(got.num.terms.items()) == list(want.num.terms.items())
+        assert list(got.den.terms.items()) == list(want.den.terms.items())
     assert calls == []

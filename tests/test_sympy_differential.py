@@ -65,3 +65,17 @@ def test_canonical_form_matches_sympy_cancel():
         # terms too, since sympy's is
         assert sympy.Poly(den, *SYMBOLS.values()).total_degree() == ours.den.total_degree(), (str(ours), theirs)
         assert parse_expr(str(ours)) == ours
+
+
+def test_dense_determinants_match_sympy():
+    """det_expr of dense 6 x 6 to 8 x 8 matrices of linear entries in x, y
+    equals sympy's determinant, expanded."""
+    from skewform.duality import det_expr
+
+    rng = random.Random("sympy-det")
+    X, Y = SYMBOLS["x"], SYMBOLS["y"]
+    for n in (6, 6, 7, 7, 8, 8):
+        coeffs = [[[rng.randint(-3, 3) for _ in range(3)] for _ in range(n)] for _ in range(n)]
+        ours = det_expr([[Expr.var("x") * a + Expr.var("y") * b + c for a, b, c in row] for row in coeffs])
+        theirs = sympy.Matrix([[a * X + b * Y + c for a, b, c in row] for row in coeffs]).det(method="domain-ge")
+        assert ours.den.is_const() and sympy.expand(_sympy(ours) - sympy.expand(theirs)) == 0, n
