@@ -62,10 +62,7 @@ def build_parser():
 def _cmd_check(args):
     try:
         session = load_session(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ExprError as exc:
+    except (OSError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = run_session(

@@ -11,7 +11,7 @@ exterior derivative.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from .symexpr import Expr, ZERO, all_zero, parse_expr
 from .exterior import Chart, ChartError, DiffForm, FormError, ext_d
@@ -100,19 +100,8 @@ def covariant_deriv(a, c):
         raise FormError(f"covariant_deriv expects a 1-form, got degree {a.degree}")
     if a.chart != c.chart:
         raise ChartError(f"chart mismatch: {a.chart} vs {c.chart}")
-    chart = a.chart
-    n = chart.dim
-    comps = [a.coefficient((i,)) for i in range(n)]
-    out = [[ZERO] * n for _ in range(n)]
-    for b in range(n):
-        for al in range(n):
-            val = comps[b].diff(chart.variables[al])
-            for s in range(n):
-                g = c.gamma[s][b][al]
-                if not g.is_zero_struct():
-                    val = val + g * comps[s]
-            out[b][al] = val
-    return out
+    n = a.chart.dim
+    return [[_covariant_component(a, c, (b,), al) for al in range(n)] for b in range(n)]
 
 
 def evo_commutator(a, c):
@@ -160,16 +149,15 @@ def _covariant_component(a, c, idx, al):
 def evo_d(a, c):
     """Differential with the basis-variation term of the connection.
 
-    Degree 1: sum over increasing pairs of evo_commutator components.
-    General degree: alternating sum of covariant components, which reduces
-    to ext_d when the torsion vanishes on the affected terms.
+    Degree 0 is ext_d.  From degree 1 on, each component over increasing
+    indices J is the alternating sum of the covariant components
+    A_{J without J[k]; J[k]}, which reduces to ext_d when the torsion
+    vanishes on the affected terms.
     """
     if a.chart != c.chart:
         raise ChartError(f"chart mismatch: {a.chart} vs {c.chart}")
     if a.degree == 0:
         return ext_d(a)
-    from itertools import combinations
-
     chart = a.chart
     res = {}
     for J in combinations(range(chart.dim), a.degree + 1):

@@ -4,7 +4,8 @@ A session file declares one ambient chart plus named scalars-constants,
 forms, connections, metrics and pseudostructures, then issues commands
 (`classify`, `check`, `scan`, `chain`, `catalog`, `eval`).  Declarations
 are resolved eagerly so an undefined reference or dimension mismatch is a
-parse-time diagnostic carrying its line number.  Command expectations
+parse-time diagnostic carrying its line number; so is each command, into
+a `Command` whose runner fills in its report record.  Command expectations
 (`expect ...`) decide the process exit code; reports are emitted as text
 or deterministic JSON.
 """
@@ -12,6 +13,7 @@ or deterministic JSON.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 
 from .symexpr import Expr, ExprError, ExprSyntaxError, all_zero, parse_expr
 from .exterior import (
@@ -47,8 +49,14 @@ class SessionError(ExprError):
         self.line = line
 
 
+# A parsed command: its kind, line number, source text and runner.
+# `run(record, seed, tolerance, max_steps)` fills in the report record and
+# returns its `ok`, or None when the command states no expectation.
+Command = namedtuple("Command", "kind line text run")
+
+
 class Session:
-    """Parsed declarations plus the ordered command list."""
+    """Parsed declarations plus the ordered list of `Command`s."""
 
     def __init__(self):
         self.chart = None
@@ -112,9 +120,14 @@ def _require_chart(session, line):
         raise SessionError("a `chart` declaration is required first", line)
 
 
-def _unique(kind, name, table, line):
+def _new_name(kind, name, table, line):
+    """A declaration's stripped name; it must be an identifier not yet declared."""
+    name = name.strip()
+    if not name.isidentifier():
+        raise SessionError(f"{kind} name must be an identifier; got {name!r}", line)
     if name in table:
         raise SessionError(f"{kind} {name!r} already declared", line)
+    return name
 
 
 def _parse_indexed_assignments(body, line, rank):
@@ -211,15 +224,12 @@ def _parse_line(session, line, lineno):
     if head == "param":
         _require_chart(session, lineno)
         for name in rest.split():
-            if name in session.chart.index or name in session.params:
-                raise SessionError(f"symbol {name!r} already declared", lineno)
-            session.params.append(name)
+            session.params.append(_new_name("symbol", name, [*session.chart.index, *session.params], lineno))
         return
     if head == "form":
         _require_chart(session, lineno)
         name, _, body = rest.partition("=")
-        name = name.strip()
-        _unique("form", name, session.forms, lineno)
+        name = _new_name("form", name, session.forms, lineno)
         if not body.strip():
             raise SessionError("form declaration needs `form name = <expression>`", lineno)
         try:
@@ -232,8 +242,7 @@ def _parse_line(session, line, lineno):
     if head == "connection":
         _require_chart(session, lineno)
         name, _, body = rest.partition(":")
-        name = name.strip()
-        _unique("connection", name, session.connections, lineno)
+        name = _new_name("connection", name, session.connections, lineno)
         entries = _parse_indexed_assignments(body, lineno, 3)
         parsed = {idx: _parse_scalar(session, text, lineno) for idx, text in entries.items()}
         session.connections[name] = Connection.from_entries(session.chart, parsed)
@@ -242,9 +251,8 @@ def _parse_line(session, line, lineno):
         _require_chart(session, lineno)
         if "=" in rest and ":" not in rest.split("=", 1)[0]:
             name, _, kind = rest.partition("=")
-            name = name.strip()
+            name = _new_name("metric", name, session.metrics, lineno)
             kind = kind.strip()
-            _unique("metric", name, session.metrics, lineno)
             if "(" in kind:
                 # optional explicit dimension, e.g. euclidean(3)
                 kind, _, dim_text = kind.partition("(")
@@ -267,8 +275,7 @@ def _parse_line(session, line, lineno):
                 raise SessionError(f"unknown metric kind {kind!r} (euclidean|minkowski)", lineno)
             return
         name, _, body = rest.partition(":")
-        name = name.strip()
-        _unique("metric", name, session.metrics, lineno)
+        name = _new_name("metric", name, session.metrics, lineno)
         entries = _parse_indexed_assignments(body, lineno, 2)
         n = session.chart.dim
         rows = [[Expr.const(0) for _ in range(n)] for _ in range(n)]
@@ -287,8 +294,7 @@ def _parse_line(session, line, lineno):
         if "(" not in sig or not sig.endswith(")"):
             raise SessionError("pseudo declaration is `pseudo name(u, v): x = ..., y = ...`", lineno)
         name, params_text = sig[:-1].split("(", 1)
-        name = name.strip()
-        _unique("pseudostructure", name, session.pseudos, lineno)
+        name = _new_name("pseudostructure", name, session.pseudos, lineno)
         params = Chart([p.strip() for p in params_text.split(",") if p.strip()])
         mapping = {}
         allowed = set(params.variables) | set(session.params)
@@ -311,69 +317,99 @@ def _parse_line(session, line, lineno):
     if head == "relation":
         _require_chart(session, lineno)
         name, _, body = rest.partition("=")
-        name = name.strip()
-        _unique("relation", name, session.relations, lineno)
+        name = _new_name("relation", name, session.relations, lineno)
         session.relations[name] = _resolve_relation(session, body, lineno)
         return
-    if head in ("classify", "check", "scan", "chain", "catalog", "eval"):
-        session.commands.append(_parse_command(session, head, rest, lineno))
-        return
-    raise SessionError(f"unknown declaration or command {head!r}", lineno)
+    session.commands.append(Command(head, lineno, line, _parse_command(session, head, rest, lineno)))
+
+
+def _relation_text(r):
+    return f"d({form_to_text(r.psi)}) = {form_to_text(r.omega)}"
+
+
+def _judge(record, expect, outcome):
+    """Record an `expect` clause and compare it with the outcome's name."""
+    if expect is None:
+        return None
+    record["expected"] = expect
+    return outcome == expect
 
 
 def _parse_command(session, head, rest, lineno):
+    """Parse, validate and resolve one command; returns its runner."""
     if head == "classify":
         _require_chart(session, lineno)
         rest, expect = _take_expect(rest, lineno, VERDICT_NAMES)
-        rest, pseudo = _take_on(session, rest, lineno)
+        rest, on = _take_on(session, rest, lineno)
         relation = _resolve_relation(session, rest, lineno)
-        return {"kind": "classify", "line": lineno, "relation": relation, "on": pseudo, "expect": expect}
+
+        def run(record, seed, tolerance, max_steps):
+            record["relation"] = _relation_text(relation)
+            if on is None:
+                verdict = classify(relation, seed=seed)
+            else:
+                record["on"] = on
+                verdict = classify_on(relation, session.pseudos[on], seed=seed)
+            record["verdict"] = verdict.to_json()
+            return _judge(record, expect, verdict.classification)
+        return run
     if head == "check":
         _require_chart(session, lineno)
         rest, expect = _take_expect(rest, lineno, ("true", "false"))
         what, _, body = rest.partition(" ")
-        if what in ("closed", "exact"):
-            form = _resolve_form(session, body, lineno)
-            return {
-                "kind": "check", "line": lineno, "what": what,
-                "name": body.strip(), "form": form, "expect": expect,
-                "with": None, "on": None,
-            }
+        partner = on = None
         if what in ("dualclosed", "evoclosed"):
-            body, pseudo = _take_on(session, body, lineno)
-            if pseudo is not None and what == "evoclosed":
+            body, on = _take_on(session, body, lineno)
+            if on is not None and what == "evoclosed":
                 raise SessionError("`on <pseudo>` applies to dualclosed checks only", lineno)
+            kind_name, table = (
+                ("metric", session.metrics) if what == "dualclosed" else ("connection", session.connections)
+            )
             if " with " not in body:
-                raise SessionError(
-                    f"check {what} needs `with <{'metric' if what == 'dualclosed' else 'connection'}>`",
-                    lineno,
-                )
-            form_name, _, partner = body.rpartition(" with ")
+                raise SessionError(f"check {what} needs `with <{kind_name}>`", lineno)
+            body, _, partner = body.rpartition(" with ")
             partner = partner.strip()
-            table = session.metrics if what == "dualclosed" else session.connections
             if partner not in table:
-                kind_name = "metric" if what == "dualclosed" else "connection"
                 raise SessionError(f"undefined {kind_name} {partner!r}", lineno)
-            form = _resolve_form(session, form_name, lineno)
-            return {
-                "kind": "check", "line": lineno, "what": what,
-                "name": form_name.strip(), "form": form, "expect": expect,
-                "with": partner, "on": pseudo,
-            }
-        raise SessionError(
-            "check command is `check closed|exact <form>` or "
-            "`check dualclosed <form> with <metric> [on <pseudo>]` or "
-            "`check evoclosed <form> with <connection>`",
-            lineno,
-        )
+        elif what not in ("closed", "exact"):
+            raise SessionError(
+                "check command is `check closed|exact <form>` or "
+                "`check dualclosed <form> with <metric> [on <pseudo>]` or "
+                "`check evoclosed <form> with <connection>`",
+                lineno,
+            )
+        form = _resolve_form(session, body, lineno)
+
+        def run(record, seed, tolerance, max_steps):
+            record["form"] = body.strip()
+            if partner is not None:
+                record["with"] = partner
+            if what == "closed":
+                result = is_closed(form, seed=seed)
+            elif what == "exact":
+                witness = is_exact(form, seed=seed)
+                result = witness is not None
+                record["witness"] = None if witness is None else form_to_text(witness)
+            elif on is not None:
+                record["on"] = on
+                result = dual_closure_on(form, table[partner], session.pseudos[on], seed=seed)
+            elif what == "dualclosed":
+                result = dual_closure_check(form, table[partner], seed=seed)
+            else:
+                result = all_zero(evo_d(form, table[partner]).terms.values(), seed).value
+            record["what"] = what
+            record["result"] = result
+            return _judge(record, expect, "true" if result else "false")
+        return run
     if head == "scan":
         _require_chart(session, lineno)
         rest, expect = _take_expect(rest, lineno, ("zero", "nonzero"))
         kind, _, body = rest.partition(" ")
+        pairing = None
         if kind == "poisson":
             if " with " not in body:
                 raise SessionError("poisson scan needs `with (q:p, ...)`", lineno)
-            exprs_text, _, pairing_text = body.rpartition(" with ")
+            body, _, pairing_text = body.rpartition(" with ")
             pairing_text = pairing_text.strip()
             if not (pairing_text.startswith("(") and pairing_text.endswith(")")):
                 raise SessionError("pairing must be parenthesized, e.g. (q:p)", lineno)
@@ -381,20 +417,24 @@ def _parse_command(session, head, rest, lineno):
             for pair in _split_top(pairing_text[1:-1]):
                 qv, _, pv = pair.partition(":")
                 pairing.append((qv.strip(), pv.strip()))
-            exprs = [_parse_scalar(session, t, lineno) for t in _split_top(exprs_text)]
-            return {"kind": "scan", "line": lineno, "scan_kind": "poisson", "exprs": exprs, "pairing": pairing, "expect": expect}
-        if kind == "jacobian":
+        if kind in ("poisson", "jacobian"):
             exprs = [_parse_scalar(session, t, lineno) for t in _split_top(body)]
-            return {"kind": "scan", "line": lineno, "scan_kind": "jacobian", "exprs": exprs, "pairing": None, "expect": expect}
-        if kind == "determinant":
+        elif kind == "determinant":
             body = body.strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise SessionError("determinant scan needs a bracketed matrix `[a, b; c, d]`", lineno)
-            rows = []
-            for row_text in _split_top(body[1:-1], ";"):
-                rows.append([_parse_scalar(session, t, lineno) for t in _split_top(row_text)])
-            return {"kind": "scan", "line": lineno, "scan_kind": "determinant", "exprs": rows, "pairing": None, "expect": expect}
-        raise SessionError(f"unknown scan kind {kind!r} (jacobian|determinant|poisson)", lineno)
+            exprs = [
+                [_parse_scalar(session, t, lineno) for t in _split_top(row_text)]
+                for row_text in _split_top(body[1:-1], ";")
+            ]
+        else:
+            raise SessionError(f"unknown scan kind {kind!r} (jacobian|determinant|poisson)", lineno)
+
+        def run(record, seed, tolerance, max_steps):
+            report = degenerate_scan(exprs, kind, session.chart, pairing=pairing, seed=seed, tol=tolerance)
+            record["scan"] = report.to_json()
+            return _judge(record, expect, "zero" if report.identically_zero else "nonzero")
+        return run
     if head == "chain":
         _require_chart(session, lineno)
         steps = None
@@ -406,34 +446,58 @@ def _parse_command(session, head, rest, lineno):
                 steps = int(steps_text.strip())
             except ValueError as exc:
                 raise SessionError(f"bad steps count {steps_text!r}", lineno) from exc
-        rel_text, pseudo_name = _take_on(session, rest, lineno)
-        if pseudo_name is None:
+        rel_text, on = _take_on(session, rest, lineno)
+        if on is None:
             raise SessionError("chain command is `chain <relation> on <pseudo> [steps N]`", lineno)
         relation = _resolve_relation(session, rel_text, lineno)
-        return {"kind": "chain", "line": lineno, "relation": relation, "on": pseudo_name, "steps": steps}
+
+        def run(record, seed, tolerance, max_steps):
+            record["relation"] = _relation_text(relation)
+            record["on"] = on
+            chain = integrate_chain(
+                relation, session.pseudos[on], max_steps=max_steps if steps is None else steps, seed=seed
+            )
+            record["steps"] = [
+                {
+                    "degree": st.degree,
+                    "left": form_to_text(st.left),
+                    "right": form_to_text(st.right),
+                    "difference_closed": st.difference_closed,
+                }
+                for st in chain
+            ]
+            return True
+        return run
     if head == "catalog":
         sub, _, arg = rest.partition(" ")
         arg = arg.strip()
-        if sub == "list":
-            return {"kind": "catalog", "line": lineno, "action": "list"}
+        if sub == "list" and not arg:
+            def run(record, seed, tolerance, max_steps):
+                record["entries"] = [{"name": n, "title": t} for n, t in catalog_mod.list_entries()]
+            return run
         if sub == "run":
             if not arg:
                 raise SessionError("catalog run needs an entry name or --all", lineno)
             if arg != "--all" and arg not in dict(catalog_mod.list_entries()):
                 raise SessionError(f"unknown catalog entry {arg!r}", lineno)
-            return {"kind": "catalog", "line": lineno, "action": "run", "target": arg}
+
+            def run(record, seed, tolerance, max_steps):
+                reports = catalog_mod.run_all(seed=seed) if arg == "--all" else [catalog_mod.run_entry(arg, seed=seed)]
+                record["entries"] = [r.to_json() for r in reports]
+                return all(r.passed for r in reports)
+            return run
         raise SessionError("catalog command is `catalog list` or `catalog run <name|--all>`", lineno)
     if head == "eval":
         expr = _parse_scalar(session, rest, lineno) if session.chart else parse_expr(rest)
-        return {"kind": "eval", "line": lineno, "input": rest, "expr": expr}
-    raise SessionError(f"unknown command {head!r}", lineno)
+
+        def run(record, seed, tolerance, max_steps):
+            record["input"] = rest
+            record["canonical"] = str(expr)
+        return run
+    raise SessionError(f"unknown declaration or command {head!r}", lineno)
 
 
 # -- execution ---------------------------------------------------------------------
-
-
-def _relation_text(r):
-    return f"d({form_to_text(r.psi)}) = {form_to_text(r.omega)}"
 
 
 def run_session(session, seed=0, tolerance=1e-9, max_steps=8):
@@ -445,9 +509,9 @@ def run_session(session, seed=0, tolerance=1e-9, max_steps=8):
     records = []
     all_ok = True
     for cmd in session.commands:
-        record = {"command": cmd["kind"], "line": cmd["line"]}
+        record = {"command": cmd.kind, "line": cmd.line}
         try:
-            ok = _run_command(session, cmd, record, seed, tolerance, max_steps)
+            ok = cmd.run(record, seed, tolerance, max_steps)
         except ExprError as exc:
             record["error"] = str(exc)
             ok = False
@@ -462,99 +526,6 @@ def run_session(session, seed=0, tolerance=1e-9, max_steps=8):
         "commands": records,
         "ok": all_ok,
     }
-
-
-def _run_command(session, cmd, record, seed, tolerance, max_steps):
-    kind = cmd["kind"]
-    if kind == "classify":
-        relation = cmd["relation"]
-        record["relation"] = _relation_text(relation)
-        if cmd["on"] is not None:
-            record["on"] = cmd["on"]
-            verdict = classify_on(relation, session.pseudos[cmd["on"]], seed=seed)
-        else:
-            verdict = classify(relation, seed=seed)
-        record["verdict"] = verdict.to_json()
-        if cmd["expect"] is None:
-            return None
-        record["expected"] = cmd["expect"]
-        return verdict.classification == cmd["expect"]
-    if kind == "check":
-        form = cmd["form"]
-        record["form"] = cmd["name"]
-        if cmd["what"] == "closed":
-            result = is_closed(form, seed=seed)
-        elif cmd["what"] == "exact":
-            witness = is_exact(form, seed=seed)
-            result = witness is not None
-            record["witness"] = None if witness is None else form_to_text(witness)
-        elif cmd["what"] == "dualclosed":
-            metric = session.metrics[cmd["with"]]
-            record["with"] = cmd["with"]
-            if cmd["on"] is not None:
-                record["on"] = cmd["on"]
-                result = dual_closure_on(form, metric, session.pseudos[cmd["on"]], seed=seed)
-            else:
-                result = dual_closure_check(form, metric, seed=seed)
-        else:  # evoclosed
-            connection = session.connections[cmd["with"]]
-            record["with"] = cmd["with"]
-            result = all_zero(evo_d(form, connection).terms.values(), seed).value
-        record["what"] = cmd["what"]
-        record["result"] = result
-        if cmd["expect"] is None:
-            return None
-        record["expected"] = cmd["expect"]
-        return result == (cmd["expect"] == "true")
-    if kind == "scan":
-        report = degenerate_scan(
-            cmd["exprs"],
-            cmd["scan_kind"],
-            session.chart,
-            pairing=cmd["pairing"],
-            seed=seed,
-            tol=tolerance,
-        )
-        record["scan"] = report.to_json()
-        if cmd["expect"] is None:
-            return None
-        record["expected"] = cmd["expect"]
-        return report.identically_zero == (cmd["expect"] == "zero")
-    if kind == "chain":
-        relation = cmd["relation"]
-        record["relation"] = _relation_text(relation)
-        record["on"] = cmd["on"]
-        steps = integrate_chain(
-            relation,
-            session.pseudos[cmd["on"]],
-            max_steps=cmd["steps"] if cmd["steps"] is not None else max_steps,
-            seed=seed,
-        )
-        record["steps"] = [
-            {
-                "degree": st.degree,
-                "left": form_to_text(st.left),
-                "right": form_to_text(st.right),
-                "difference_closed": st.difference_closed,
-            }
-            for st in steps
-        ]
-        return True
-    if kind == "catalog":
-        if cmd["action"] == "list":
-            record["entries"] = [{"name": n, "title": t} for n, t in catalog_mod.list_entries()]
-            return None
-        if cmd["target"] == "--all":
-            reports = catalog_mod.run_all(seed=seed)
-        else:
-            reports = [catalog_mod.run_entry(cmd["target"], seed=seed)]
-        record["entries"] = [r.to_json() for r in reports]
-        return all(r.passed for r in reports)
-    if kind == "eval":
-        record["input"] = cmd["input"]
-        record["canonical"] = str(cmd["expr"])
-        return None
-    raise SessionError(f"unhandled command {kind!r}", cmd["line"])
 
 
 # -- presentation --------------------------------------------------------------------
@@ -572,13 +543,12 @@ def report_to_text(report):
             mark = "ok" if rec["ok"] else "!!"
         head = f"[{mark}] line {rec['line']}: {rec['command']}"
         detail = ""
-        if rec["command"] == "classify":
-            detail = f" {rec.get('relation', '')} -> {rec.get('verdict', {}).get('classification', '?')}"
+        if rec["command"] == "classify" and "verdict" in rec:
+            detail = f" {rec['relation']} -> {rec['verdict']['classification']}"
             if rec.get("on"):
-                detail += f" on {rec['on']}"
-                detail += f" (pi closure: {rec['verdict'].get('pi_closure')})"
-        elif rec["command"] == "check":
-            detail = f" {rec.get('what')} {rec.get('form')} -> {rec.get('result')}"
+                detail += f" on {rec['on']} (pi closure: {rec['verdict'].get('pi_closure')})"
+        elif rec["command"] == "check" and "result" in rec:
+            detail = f" {rec['what']} {rec['form']} -> {rec['result']}"
         elif rec["command"] == "scan" and "scan" in rec:
             scan = rec["scan"]
             detail = (
@@ -586,10 +556,9 @@ def report_to_text(report):
                 f"(identically zero: {scan.get('identically_zero')}, "
                 f"{len(scan.get('zero_points', []))} locus samples)"
             )
-        elif rec["command"] == "chain":
-            steps = rec.get("steps", [])
-            detail = f" {len(steps)} step(s)"
-            for st in steps:
+        elif rec["command"] == "chain" and "steps" in rec:
+            detail = f" {len(rec['steps'])} step(s)"
+            for st in rec["steps"]:
                 detail += f"\n      degree {st['degree']}: {st['left']} = {st['right']} + const"
         elif rec["command"] == "catalog":
             entries = rec.get("entries", [])
@@ -609,7 +578,8 @@ def report_to_text(report):
 
 
 def session_to_text(session):
-    """Canonical pretty print; re-parsing yields an equivalent session."""
+    """Pretty print: declarations in canonical form, then each command as
+    written.  Re-parsing yields an equivalent session."""
     out = []
     if session.chart:
         out.append("chart " + " ".join(session.chart.variables))
@@ -641,8 +611,7 @@ def session_to_text(session):
         out.append(f"pseudo {name}({', '.join(ps.params.variables)}): {comps}")
     for name, rel in session.relations.items():
         out.append(f"relation {name} = {_form_ref(session, rel.psi)} => {_form_ref(session, rel.omega)}")
-    for cmd in session.commands:
-        out.append(_command_to_text(session, cmd))
+    out.extend(cmd.text for cmd in session.commands)
     return "\n".join(out) + "\n"
 
 
@@ -651,49 +620,3 @@ def _form_ref(session, form):
         if val == form:
             return name
     return "0" if form.is_zero_form() else form_to_text(form)
-
-
-def _command_to_text(session, cmd):
-    kind = cmd["kind"]
-    if kind == "classify":
-        rel = cmd["relation"]
-        text = f"classify {_form_ref(session, rel.psi)} => {_form_ref(session, rel.omega)}"
-        if cmd["on"]:
-            text += f" on {cmd['on']}"
-        if cmd["expect"]:
-            text += f" expect {cmd['expect']}"
-        return text
-    if kind == "check":
-        text = f"check {cmd['what']} {cmd['name']}"
-        if cmd.get("with"):
-            text += f" with {cmd['with']}"
-        if cmd.get("on"):
-            text += f" on {cmd['on']}"
-        if cmd["expect"]:
-            text += f" expect {cmd['expect']}"
-        return text
-    if kind == "scan":
-        if cmd["scan_kind"] == "poisson":
-            pairing = ", ".join(f"{q}:{p}" for q, p in cmd["pairing"])
-            text = f"scan poisson {', '.join(str(e) for e in cmd['exprs'])} with ({pairing})"
-        elif cmd["scan_kind"] == "jacobian":
-            text = "scan jacobian " + ", ".join(str(e) for e in cmd["exprs"])
-        else:
-            rows = "; ".join(", ".join(str(e) for e in row) for row in cmd["exprs"])
-            text = f"scan determinant [{rows}]"
-        if cmd["expect"]:
-            text += f" expect {cmd['expect']}"
-        return text
-    if kind == "chain":
-        rel = cmd["relation"]
-        text = f"chain {_form_ref(session, rel.psi)} => {_form_ref(session, rel.omega)} on {cmd['on']}"
-        if cmd["steps"] is not None:
-            text += f" steps {cmd['steps']}"
-        return text
-    if kind == "catalog":
-        if cmd["action"] == "list":
-            return "catalog list"
-        return f"catalog run {cmd['target']}"
-    if kind == "eval":
-        return f"eval {cmd['input']}"
-    raise SessionError(f"unhandled command {kind!r}")

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from skewform.session import (
     run_session,
     session_to_text,
 )
+
+DATA = Path(__file__).parent / "data"
 
 DEMO = textwrap.dedent(
     """\
@@ -121,8 +124,32 @@ class TestParse:
     @pytest.mark.parametrize("gap", [" ", "  "])
     def test_chain_on_a_pseudostructure_named_steps(self, gap):
         text = DEMO.replace("traj", "steps").replace("chain r on steps", f"chain r on{gap}steps")
-        s = parse_session(text)
-        assert s.commands[-2]["on"] == "steps" and s.commands[-2]["steps"] is None
+        report = run_session(parse_session(text), max_steps=0)
+        chain = next(r for r in report["commands"] if r["command"] == "chain")
+        # no explicit count was read, so the run's step bound applies
+        assert chain["on"] == "steps" and chain["steps"] == []
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "form  = d[x]",
+            "form 2w = d[x]",
+            "relation  = 0 => d[x]",
+            "pseudo (u): x = u, y = u",
+            "metric : [1,1] = 1",
+            "metric 2g = euclidean",
+            "connection : [1,1,1] = x",
+            "param c 2c",
+        ],
+    )
+    def test_declaration_names_are_identifiers(self, line):
+        with pytest.raises(SessionError, match="line 2: .* name must be an identifier"):
+            parse_session(f"chart x y\n{line}\n")
+
+    def test_catalog_list_takes_no_arguments(self):
+        with pytest.raises(SessionError, match="line 2: catalog command is"):
+            parse_session("chart x\ncatalog list extra words\n")
+        assert parse_session("catalog list\n").commands[0].kind == "catalog"
 
     def test_check_with_undefined_metric(self):
         with pytest.raises(SessionError, match="undefined metric"):
@@ -178,6 +205,30 @@ class TestRun:
             "      error: poisson scan takes exactly two scalar expressions",
         ]
 
+    def test_failed_check_classify_and_chain_text_show_only_the_error(self):
+        text = (
+            "chart x y z\nform w = x*ln(-x^2-1)*d[y]\n"
+            "pseudo p(u): x = u, y = u, z = 0\npseudo q(u, v): x = u, y = v, z = 0\n"
+            "check closed w\nclassify 0 => w\nclassify 0 => w on p\nchain 0 => x*d[y] on q\n"
+        )
+        report = run_session(parse_session(text))
+        assert [sorted(rec) for rec in report["commands"]] == [
+            ["command", "error", "form", "line", "ok"],
+            ["command", "error", "line", "ok", "relation"],
+            ["command", "error", "line", "ok", "on", "relation"],
+            ["command", "error", "line", "ok", "on", "relation"],
+        ]
+        assert report_to_text(report).splitlines()[1:9] == [
+            "[!!] line 5: check",
+            "      error: could not sample (x^2*ln(-x^2 - 1) + 2*x^2 + ln(-x^2 - 1))/(x^2 + 1) away from poles",
+            "[!!] line 6: classify",
+            "      error: could not sample x*ln(-x^2 - 1) away from poles",
+            "[!!] line 7: classify",
+            "      error: could not sample u*ln(-u^2 - 1) away from poles",
+            "[!!] line 8: chain",
+            "      error: restricted right side is not closed; the degenerate transformation is not realized",
+        ]
+
 
 class TestRoundTrip:
     def test_pretty_print_reparses_equivalent(self):
@@ -207,6 +258,21 @@ class TestRoundTrip:
         for a, b in zip(r1["commands"], r2["commands"]):
             a.pop("line")
             b.pop("line")
+        assert r1 == r2
+
+    def test_commands_print_as_written(self):
+        s = parse_session(DEMO.replace("classify r expect", "classify   r  expect") + "catalog list  # entries\n")
+        printed = session_to_text(s).splitlines()
+        assert printed[-len(s.commands):] == [cmd.text for cmd in s.commands]
+        assert "classify   r  expect NONIDENTICAL" in printed and printed[-1] == "catalog list"
+
+    @pytest.mark.parametrize("corpus", sorted(DATA.glob("golden_*.sf")), ids=lambda p: p.name)
+    def test_golden_corpora_round_trip(self, corpus):
+        s1 = parse_session(corpus.read_text(), corpus.name)
+        s2 = parse_session(session_to_text(s1), corpus.name)
+        r1, r2 = run_session(s1, seed=5), run_session(s2, seed=5)
+        for rec in r1["commands"] + r2["commands"]:
+            rec.pop("line")
         assert r1 == r2
 
 
@@ -239,6 +305,13 @@ class TestCli:
         proc = run_cli("check", str(f))
         assert proc.returncode == 2
         assert "line 2" in proc.stderr
+
+    def test_nameless_declaration_exits_2(self, tmp_path):
+        f = tmp_path / "nameless.sf"
+        f.write_text("chart x y\nrelation  = 0 => d[x]\nclassify  => d[x]\n")
+        proc = run_cli("check", str(f))
+        assert proc.returncode == 2
+        assert "line 2: relation name must be an identifier" in proc.stderr
 
     def test_json_byte_identical(self, tmp_path):
         f = tmp_path / "demo.sf"
