@@ -415,19 +415,29 @@ def _sample_zero_locus(F, seed, tol, lines):
                 prev_s, prev_v = s_cur, None
                 continue
             if prev_v is not None and prev_v * v_cur <= 0 and (prev_v != 0 or v_cur != 0):
-                lo, hi, flo = prev_s, s_cur, prev_v
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    fmid = value(mid)
-                    if abs(fmid) < tol or hi - lo < 1e-15:
-                        break
-                    if flo * fmid <= 0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fmid
-                root = 0.5 * (lo + hi)
-                if abs(value(root)) < tol:
+                try:
+                    root, froot = _bisect(value, prev_s, s_cur, prev_v, tol)
+                except (PoleError, OverflowError):
+                    break  # the bisection stepped into a gap of F's domain: abandon the line
+                if abs(froot) < tol:
                     points.append({v: base[i] + root * direction[i] for i, v in enumerate(names)})
                 break
             prev_s, prev_v = s_cur, v_cur
     return points
+
+
+def _bisect(value, lo, hi, flo, tol):
+    """(root, value(root)) for a sign change of value on [lo, hi], where
+    value(lo) = flo: at most 200 halvings, stopping early once |value| < tol
+    or the interval is narrower than 1e-15."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = value(mid)
+        if abs(fmid) < tol or hi - lo < 1e-15:
+            return mid, fmid  # the midpoint of [lo, hi] is mid itself
+        if flo * fmid <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    root = 0.5 * (lo + hi)
+    return root, value(root)

@@ -120,13 +120,19 @@ def _require_chart(session, line):
         raise SessionError("a `chart` declaration is required first", line)
 
 
-def _new_name(kind, name, table, line):
-    """A declaration's stripped name; it must be an identifier not yet declared."""
+def _new_name(kind, name, table, line, scalars=()):
+    """A declaration's stripped name; it must be an identifier, not yet
+    declared in table, and not one of the chart variables and params in
+    scalars: a form of that name would shadow the scalar in a command, and
+    `session_to_text`, which prints declarations first, would change which
+    one the command reads."""
     name = name.strip()
     if not name.isidentifier():
         raise SessionError(f"{kind} name must be an identifier; got {name!r}", line)
     if name in table:
         raise SessionError(f"{kind} {name!r} already declared", line)
+    if name in scalars:
+        raise SessionError(f"{kind} {name!r} is already a chart variable or param", line)
     return name
 
 
@@ -224,12 +230,15 @@ def _parse_line(session, line, lineno):
     if head == "param":
         _require_chart(session, lineno)
         for name in rest.split():
-            session.params.append(_new_name("symbol", name, [*session.chart.index, *session.params], lineno))
+            name = _new_name("symbol", name, [*session.chart.index, *session.params], lineno)
+            if name in session.forms:
+                raise SessionError(f"symbol {name!r} is already a form", lineno)
+            session.params.append(name)
         return
     if head == "form":
         _require_chart(session, lineno)
         name, _, body = rest.partition("=")
-        name = _new_name("form", name, session.forms, lineno)
+        name = _new_name("form", name, session.forms, lineno, session.allowed_symbols())
         if not body.strip():
             raise SessionError("form declaration needs `form name = <expression>`", lineno)
         try:
@@ -242,7 +251,7 @@ def _parse_line(session, line, lineno):
     if head == "connection":
         _require_chart(session, lineno)
         name, _, body = rest.partition(":")
-        name = _new_name("connection", name, session.connections, lineno)
+        name = _new_name("connection", name, session.connections, lineno, session.allowed_symbols())
         entries = _parse_indexed_assignments(body, lineno, 3)
         parsed = {idx: _parse_scalar(session, text, lineno) for idx, text in entries.items()}
         session.connections[name] = Connection.from_entries(session.chart, parsed)
@@ -251,7 +260,7 @@ def _parse_line(session, line, lineno):
         _require_chart(session, lineno)
         if "=" in rest and ":" not in rest.split("=", 1)[0]:
             name, _, kind = rest.partition("=")
-            name = _new_name("metric", name, session.metrics, lineno)
+            name = _new_name("metric", name, session.metrics, lineno, session.allowed_symbols())
             kind = kind.strip()
             if "(" in kind:
                 # optional explicit dimension, e.g. euclidean(3)
@@ -275,7 +284,7 @@ def _parse_line(session, line, lineno):
                 raise SessionError(f"unknown metric kind {kind!r} (euclidean|minkowski)", lineno)
             return
         name, _, body = rest.partition(":")
-        name = _new_name("metric", name, session.metrics, lineno)
+        name = _new_name("metric", name, session.metrics, lineno, session.allowed_symbols())
         entries = _parse_indexed_assignments(body, lineno, 2)
         n = session.chart.dim
         rows = [[Expr.const(0) for _ in range(n)] for _ in range(n)]
@@ -294,7 +303,7 @@ def _parse_line(session, line, lineno):
         if "(" not in sig or not sig.endswith(")"):
             raise SessionError("pseudo declaration is `pseudo name(u, v): x = ..., y = ...`", lineno)
         name, params_text = sig[:-1].split("(", 1)
-        name = _new_name("pseudostructure", name, session.pseudos, lineno)
+        name = _new_name("pseudostructure", name, session.pseudos, lineno, session.allowed_symbols())
         params = Chart([p.strip() for p in params_text.split(",") if p.strip()])
         mapping = {}
         allowed = set(params.variables) | set(session.params)
@@ -317,7 +326,7 @@ def _parse_line(session, line, lineno):
     if head == "relation":
         _require_chart(session, lineno)
         name, _, body = rest.partition("=")
-        name = _new_name("relation", name, session.relations, lineno)
+        name = _new_name("relation", name, session.relations, lineno, session.allowed_symbols())
         session.relations[name] = _resolve_relation(session, body, lineno)
         return
     session.commands.append(Command(head, lineno, line, _parse_command(session, head, rest, lineno)))

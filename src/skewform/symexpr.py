@@ -1048,23 +1048,35 @@ def compile_numeric(expr, names):
     """Prepare expr for evaluation at many points: return f(values), where
     values[i] is the number bound to names[i].
 
-    The canonical tree is walked once.  Coefficients are converted once,
-    atom arguments are prepared recursively, and each variable and atom
-    gets a slot in a per-call work list.  A subexpression is evaluated in
-    float when it has elementary-function atoms or any value in the point
-    is a float (even one bound to a name the expression does not use), and
-    exactly otherwise.  Float evaluation performs the operations of a
-    term-by-term walk (`val * gv ** e` per factor, `total + val` per term)
-    over each polynomial's terms in descending `Monomial.sort_key()` order,
-    sorted once here: a value depends on the polynomial, not on the order
-    in which its `terms` dict was built.
+    The canonical tree is turned once into a tree of closures over a
+    per-call work list `w`: one closure per polynomial, one per term,
+    shaped to its factors, and one getter per elementary-function atom.
+    Each variable and atom has a slot in `w`; an atom's getter evaluates
+    its argument and fills in the slot at the atom's first occurrence, so
+    atoms are computed lazily, in term order, and reused: the functions
+    are pure, so reuse changes neither a value nor which exception is
+    raised first.  No source is generated.
+
+    A subexpression is evaluated in float when it has elementary-function
+    atoms or any value in the point is a float (even one bound to a name
+    the expression does not use), and exactly otherwise.  Float evaluation
+    performs a fixed sequence of operations: a term starts from
+    val = float(c) and takes `val * gv` per factor, or `val * gv ** e` when
+    e > 1; a polynomial adds its terms one by one to `0.0`, in descending
+    `Monomial.sort_key()` order, sorted once here, and never with `sum()`,
+    whose float sum is compensated from Python 3.12; a quotient is `n / d`.
+    A value depends on the polynomial, not on the order in which its
+    `terms` dict was built.  An atom-free expression or atom argument
+    builds its float closures at its first float point, so a one-shot exact
+    evaluation builds none.
+
     Exact evaluation sums integer numerators over a common denominator and
     yields the same rational as Fraction arithmetic; the value of an exact
-    top-level expression is a Fraction.  A zero denominator, or a domain
-    or range error inside sin/cos/exp/ln, raises PoleError; an overflowing
-    float power raises OverflowError.  Each atom is computed at its first
-    occurrence and reused: the functions are pure, so reuse changes
-    neither a value nor which exception is raised first.
+    top-level expression is a Fraction, and an atom-free atom argument at a
+    point of rationals is computed exactly and rounded once, as int
+    `n / d`.  A zero denominator, or a domain or range error inside
+    sin/cos/exp/ln, raises PoleError; an overflowing float power,
+    coefficient or value raises OverflowError.
     """
     position = {v: i for i, v in enumerate(names)}
     variables = expr.variables()
@@ -1073,139 +1085,215 @@ def compile_numeric(expr, names):
         raise UnboundVariableError(f"unbound variables: {sorted(missing)}")
     used = sorted(variables, key=position.__getitem__)
     columns = [position[v] for v in used]
+    nvars = len(columns)
     slots = {v: k for k, v in enumerate(used)}
-    extra = []  # initial contents of the slots after the variables'
-    atoms = {}  # slot -> (function name, math function, prepared argument)
+    getters = {}  # atom slot -> getter
 
     def slot_of(g):
         if g not in slots:
-            arg = prepare(g.arg)
-            slots[g] = len(columns) + len(extra)
-            extra.append(None)  # filled at the atom's first occurrence
-            atoms[slots[g]] = (g.fn, _MATH_FN[g.fn], arg)
+            arg_exact = exact_node(g.arg)
+            # an atom-free argument builds its float evaluator at its first float point
+            arg_float = float_node(g.arg) if arg_exact is None else None
+            slots[g] = nvars + len(getters)
+            getters[slots[g]] = _atom_getter(slots[g], g.fn, arg_float, arg_exact, lambda: float_node(g.arg))
         return slots[g]
 
-    def float_terms(p):
+    def float_poly(p):
         terms = []
         for m, c in sorted(p.terms.items(), key=lambda t: t[0].sort_key(), reverse=True):
-            factors = tuple((slot_of(g), e) for g, e in m.items)
-            try:
-                terms.append((float(c), factors))
-            except OverflowError as exc:
-                # raise where float(c) would, before the term's first factor
-                extra.append(_Unfloatable(str(exc)))
-                terms.append((1.0, ((len(columns) + len(extra) - 1, 1),) + factors))
-        return terms
+            factors = [(slot_of(g), e) for g, e in m.items]
+            terms.append(_float_term(c, factors, getters))
+        return _float_sum(terms)
 
-    def exact_terms(p):
-        """(scale, degree, terms) with, for values a / B over a common
-        denominator B, p = sum(n * prod(a ** e) * B ** shift) / (scale * B ** degree)."""
-        scale = math.lcm(*(c.denominator for c in p.terms.values()))
-        degree = p.total_degree()
-        terms = [
-            (c.numerator * (scale // c.denominator), degree - m.degree, tuple((slots[g], e) for g, e in m.items))
-            for m, c in p.terms.items()
-        ]
-        return scale, degree, terms
-
-    def prepare(e):
-        """(float num, float den, exact num, exact den, has atoms, e); a den
-        of None is the constant 1, and atom-bearing nodes have no exact form."""
+    def float_node(e):
         one = e.den == _POLY_ONE  # canonical constant denominators are 1
-        fnum, fden = float_terms(e.num), None if one else float_terms(e.den)
-        if any(not isinstance(g, str) for p in (e.num, e.den) for m in p.terms for g, _ in m.items):
-            return (fnum, fden, None, None, True, e)
-        return (fnum, fden, exact_terms(e.num), None if one else exact_terms(e.den), False, e)
+        return _float_node(float_poly(e.num), None if one else float_poly(e.den), e)
 
-    top = prepare(expr)
+    def exact_node(e):
+        """The exact evaluator of e, or None when e has atoms."""
+        if any(not isinstance(g, str) for p in (e.num, e.den) for m in p.terms for g, _ in m.items):
+            return None
+        one = e.den == _POLY_ONE
+        return _exact_node(_exact_sum(e.num, slots), None if one else _exact_sum(e.den, slots), e)
+
+    top_exact = exact_node(expr)
+    # an atom-free expression builds its float evaluator at its first float point
+    top_float = float_node(expr) if top_exact is None else None
+    blank = [None] * (len(getters) + 1)  # the atoms' slots, then the exact values'
+    # values of this length are used as they stand when every name is used, in order
+    width = nvars if columns == list(range(len(names))) else -1
+    atoms = bool(getters)
 
     def evaluate(values):
-        numeric = False
+        nonlocal top_float
         for v in values:
             if isinstance(v, float):
                 numeric = True
                 break
-        w = exact = None
+        else:
+            numeric = False
+        picked = values if len(values) == width else [values[i] for i in columns]
         if numeric or atoms:
-            w = [v if v.__class__ is float else _to_float(v) for v in map(values.__getitem__, columns)]
-            w += extra
-        if not numeric:
-            q = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in map(values.__getitem__, columns)]
-            common = math.lcm(*(v.denominator for v in q))
-            exact = ([v.numerator * (common // v.denominator) for v in q], common)
-        state = (w, exact, numeric, atoms)  # what the evaluation helpers share
-        if numeric or top[4]:
-            return _eval_float(top, state)
-        return Fraction(*_eval_exact(top, exact))
+            w = [v if v.__class__ is float else _to_float(v) for v in picked]
+            if atoms:
+                w += blank
+                if not numeric:
+                    w[-1] = _exact_values(picked)
+            elif top_float is None:
+                top_float = float_node(expr)
+            return top_float(w)
+        return Fraction(*top_exact(_exact_values(picked)))
 
     return evaluate
 
 
-def _eval_float(node, state):
-    fnum, fden, _, _, _, expr = node
-    n = _sum_float(fnum, state)
-    if fden is None:
-        return n  # n / 1.0 is n
-    d = _sum_float(fden, state)
-    if d == 0:
-        raise PoleError(f"evaluation at a pole of {expr}")
-    return n / d
+def _exact_values(picked):
+    """(a, B): the point's rationals as integers a[k] over one denominator B."""
+    q = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in picked]
+    common = math.lcm(*(v.denominator for v in q))
+    return [v.numerator * (common // v.denominator) for v in q], common
 
 
-def _sum_float(terms, state):
-    w = state[0]
-    total = 0.0
-    for c, factors in terms:
+def _float_term(c, factors, getters):
+    """c times the product of the factors (slot, exponent), as a closure
+    over the work list: `val * gv`, or `val * gv ** e` when e > 1, factor
+    by factor from val = float(c)."""
+    try:
+        c = float(c)
+    except OverflowError as exc:
+        message = str(exc)
+
+        def term(w):  # raises where float(c) would: before the first factor
+            raise OverflowError(message)
+
+        return term
+    n = len(factors)
+    if n == 0:
+        return lambda w: c
+    # one or two variable factors; x ** 1 is x, so e == 1 multiplies
+    if n == 1 and factors[0][0] not in getters:
+        ((k, e),) = factors
+        return (lambda w: c * w[k]) if e == 1 else (lambda w: c * w[k] ** e)
+    if n == 2 and factors[0][0] not in getters and factors[1][0] not in getters:
+        (a, ea), (b, eb) = factors
+        if ea == 1:
+            return (lambda w: c * w[a] * w[b]) if eb == 1 else (lambda w: c * w[a] * w[b] ** eb)
+        return (lambda w: c * w[a] ** ea * w[b]) if eb == 1 else (lambda w: c * w[a] ** ea * w[b] ** eb)
+    factors = tuple((k, e, getters.get(k)) for k, e in factors)
+
+    def term(w):
         val = c
-        for k, e in factors:
+        for k, e, get in factors:
             gv = w[k]
             if gv is None:
-                gv = _atom_value(k, state)
-            val = val * gv if e == 1 else val * gv ** e  # x ** 1 is x
-        total = total + val
-    return total
+                gv = get(w)
+            val = val * gv if e == 1 else val * gv ** e
+        return val
+
+    return term
 
 
-def _eval_exact(node, exact):
-    """(n, d), d > 0, with n / d the exact value of an atom-free node."""
-    _, _, num, den, _, expr = node
-    a, common = exact
-    n, scale = _sum_exact(num, a, common)
+def _float_sum(terms):
+    """The sum of the term closures, added one by one to 0.0 in order."""
+    if len(terms) == 1:
+        t0 = terms[0]
+        return lambda w: 0.0 + t0(w)
+    if len(terms) == 2:
+        t0, t1 = terms
+        return lambda w: 0.0 + t0(w) + t1(w)
+    terms = tuple(terms)
+
+    def poly(w):
+        total = 0.0
+        for t in terms:
+            total = total + t(w)
+        return total
+
+    return poly
+
+
+def _float_node(num, den, expr):
     if den is None:
-        return n, scale
-    d, dscale = _sum_exact(den, a, common)
-    if d == 0:
-        raise PoleError(f"evaluation at a pole of {expr}")
-    n, d = n * dscale, d * scale
-    return (n, d) if d > 0 else (-n, -d)
+        return num  # n / 1.0 is n
+
+    def node(w):
+        n = num(w)
+        d = den(w)
+        if d == 0:
+            raise PoleError(f"evaluation at a pole of {expr}")
+        return n / d
+
+    return node
 
 
-def _sum_exact(poly, a, common):
-    scale, degree, terms = poly
-    total = 0
-    for c, shift, factors in terms:
-        for k, e in factors:
-            c *= a[k] if e == 1 else a[k] ** e
-        if shift and common != 1:
-            c *= common ** shift
-        total += c
-    return total, scale * common ** degree
+def _exact_sum(p, slots):
+    """The closure (a, B) -> (n, s) with p = n / s at the values a[k] / B,
+    a over one common denominator B."""
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    degree = p.total_degree()
+    terms = [
+        (c.numerator * (scale // c.denominator), degree - m.degree, tuple((slots[g], e) for g, e in m.items))
+        for m, c in p.terms.items()
+    ]
+
+    def poly(a, common):
+        total = 0
+        for c, shift, factors in terms:
+            for k, e in factors:
+                c *= a[k] if e == 1 else a[k] ** e
+            if shift and common != 1:
+                c *= common ** shift
+            total += c
+        return total, scale * common ** degree
+
+    return poly
 
 
-def _atom_value(k, state):
-    fn, f, node = state[3][k]
-    if node[4] or state[2]:
-        arg = _eval_float(node, state)
-    else:
-        arg = _eval_exact(node, state[1])
-    try:
-        # n / d of ints rounds correctly, as float(Fraction(n, d)) does
-        gv = f(arg if arg.__class__ is float else arg[0] / arg[1])
-    except (ValueError, OverflowError) as exc:
-        shown = arg if arg.__class__ is float else Fraction(*arg)
-        raise PoleError(f"{fn} undefined at argument {shown}") from exc
-    state[0][k] = gv
-    return gv
+def _exact_node(num, den, expr):
+    """The closure (a, B) -> (n, d), d > 0, with n / d the exact value of
+    an atom-free expression."""
+
+    def node(exact):
+        a, common = exact
+        n, scale = num(a, common)
+        if den is None:
+            return n, scale
+        d, dscale = den(a, common)
+        if d == 0:
+            raise PoleError(f"evaluation at a pole of {expr}")
+        n, d = n * dscale, d * scale
+        return (n, d) if d > 0 else (-n, -d)
+
+    return node
+
+
+def _atom_getter(k, fn, arg_float, arg_exact, build_float):
+    """The getter of atom slot k: evaluates fn at the argument, stores the
+    value in w[k] and returns it.  The argument is exact (int n, d) when it
+    has no atoms and the point holds no float (w[-1] then holds the
+    point's exact values), and float otherwise; an arg_float of None is
+    made by build_float() at the first float point."""
+    f = _MATH_FN[fn]
+
+    def get(w):
+        nonlocal arg_float
+        exact = w[-1]
+        if exact is None or arg_exact is None:
+            if arg_float is None:
+                arg_float = build_float()
+            arg = arg_float(w)
+        else:
+            arg = arg_exact(exact)
+        try:
+            # n / d of ints rounds correctly, as float(Fraction(n, d)) does
+            gv = f(arg if arg.__class__ is float else arg[0] / arg[1])
+        except (ValueError, OverflowError) as exc:
+            shown = arg if arg.__class__ is float else Fraction(*arg)
+            raise PoleError(f"{fn} undefined at argument {shown}") from exc
+        w[k] = gv
+        return gv
+
+    return get
 
 
 def integrate_unit_interval(e, t):

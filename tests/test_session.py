@@ -146,6 +146,21 @@ class TestParse:
         with pytest.raises(SessionError, match="line 2: .* name must be an identifier"):
             parse_session(f"chart x y\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("chart x y\nparam a\ncheck closed a\nform a = x*d[y]\n", "line 4: form 'a' is already a chart variable or param"),
+            ("chart x y\nform y = d[x]\n", "line 2: form 'y' is already a chart variable or param"),
+            ("chart x y\nparam c\nrelation c = 0 => d[x]\n", "line 3: relation 'c' is already a chart variable or param"),
+            ("chart x y\nmetric x = euclidean\n", "line 2: metric 'x' is already a chart variable or param"),
+            ("chart x y\nform a = x*d[y]\nparam b a\n", "line 3: symbol 'a' is already a form"),
+        ],
+    )
+    def test_names_shared_with_scalars_are_rejected(self, text, message):
+        with pytest.raises(SessionError) as err:
+            parse_session(text)
+        assert str(err.value) == message
+
     def test_catalog_list_takes_no_arguments(self):
         with pytest.raises(SessionError, match="line 2: catalog command is"):
             parse_session("chart x\ncatalog list extra words\n")
@@ -196,6 +211,17 @@ class TestRun:
         text = report_to_text(run_session(parse_session(DEMO)))
         assert "result: ok" in text
         assert "NONIDENTICAL" in text
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scan_bisection_across_a_domain_gap_abandons_the_line(self, seed):
+        # F is defined on both sides of the gap -1/10 < x < 1/10 and changes
+        # sign only across it, so bisection steps into the gap; that line
+        # gives no point, as a failed grid sample gives none
+        text = "chart x y\nscan determinant [-x*(ln(x^2 - 1/100)^2 + 1)] expect nonzero\n"
+        report = run_session(parse_session(text), seed=seed)
+        rec = report["commands"][0]
+        assert report["ok"] is True and "error" not in rec
+        assert rec["scan"]["identically_zero"] is False
 
     def test_failed_scan_text_shows_only_the_error(self):
         report = run_session(parse_session("chart x y\nscan poisson x, y, x*y with (x:y)\n"))
@@ -266,6 +292,17 @@ class TestRoundTrip:
         assert printed[-len(s.commands):] == [cmd.text for cmd in s.commands]
         assert "classify   r  expect NONIDENTICAL" in printed and printed[-1] == "catalog list"
 
+    def test_round_trip_keeps_the_scalar_a_command_reads(self):
+        # `check closed a` reads the param a; no form declared later may take its name
+        text = "chart x y\nparam a\ncheck closed a expect true\nform b = a*x*d[y]\ncheck closed b expect false\n"
+        s1 = parse_session(text)
+        s2 = parse_session(session_to_text(s1))
+        r1, r2 = run_session(s1, seed=5), run_session(s2, seed=5)
+        for rec in r1["commands"] + r2["commands"]:
+            rec.pop("line")
+        assert r1 == r2 and r1["ok"] is True
+        assert [rec["result"] for rec in r1["commands"]] == [True, False]
+
     @pytest.mark.parametrize("corpus", sorted(DATA.glob("golden_*.sf")), ids=lambda p: p.name)
     def test_golden_corpora_round_trip(self, corpus):
         s1 = parse_session(corpus.read_text(), corpus.name)
@@ -312,6 +349,13 @@ class TestCli:
         proc = run_cli("check", str(f))
         assert proc.returncode == 2
         assert "line 2: relation name must be an identifier" in proc.stderr
+
+    def test_form_named_like_a_param_exits_2(self, tmp_path):
+        f = tmp_path / "shadow.sf"
+        f.write_text("chart x y\nparam a\ncheck closed a\nform a = x*d[y]\n")
+        proc = run_cli("check", str(f))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: line 4: form 'a' is already a chart variable or param"
 
     def test_json_byte_identical(self, tmp_path):
         f = tmp_path / "demo.sf"

@@ -22,6 +22,10 @@ from skewform.symexpr import (
     parse_expr,
     sin,
     zero_test,
+    _MATH_FN,
+    _POLY_ONE,
+    _Unfloatable,
+    _to_float,
     _to_univar,
 )
 from skewform import symexpr
@@ -438,6 +442,234 @@ def test_compile_numeric_unbound_and_extra_names():
     f = compile_numeric(x / y, ["y", "w", "x"])
     assert f([2, 7, 1]) == Fraction(1, 2)
     assert f([2, 0.5, 1]) == 0.5  # any float in the point selects float arithmetic
+
+
+# The tuple-walking evaluator that the closure tree of `compile_numeric`
+# replaced, kept verbatim (renamed) as the oracle for it: values must match
+# to the bit and in type, and exceptions in type and message.
+
+def _walker_compile_numeric(expr, names):
+    """Prepare expr for evaluation at many points: return f(values), where
+    values[i] is the number bound to names[i].
+
+    The canonical tree is walked once.  Coefficients are converted once,
+    atom arguments are prepared recursively, and each variable and atom
+    gets a slot in a per-call work list.  A subexpression is evaluated in
+    float when it has elementary-function atoms or any value in the point
+    is a float (even one bound to a name the expression does not use), and
+    exactly otherwise.  Float evaluation performs the operations of a
+    term-by-term walk (`val * gv ** e` per factor, `total + val` per term)
+    over each polynomial's terms in descending `Monomial.sort_key()` order,
+    sorted once here: a value depends on the polynomial, not on the order
+    in which its `terms` dict was built.
+    Exact evaluation sums integer numerators over a common denominator and
+    yields the same rational as Fraction arithmetic; the value of an exact
+    top-level expression is a Fraction.  A zero denominator, or a domain
+    or range error inside sin/cos/exp/ln, raises PoleError; an overflowing
+    float power raises OverflowError.  Each atom is computed at its first
+    occurrence and reused: the functions are pure, so reuse changes
+    neither a value nor which exception is raised first.
+    """
+    position = {v: i for i, v in enumerate(names)}
+    variables = expr.variables()
+    missing = variables - set(position)
+    if missing:
+        raise UnboundVariableError(f"unbound variables: {sorted(missing)}")
+    used = sorted(variables, key=position.__getitem__)
+    columns = [position[v] for v in used]
+    slots = {v: k for k, v in enumerate(used)}
+    extra = []  # initial contents of the slots after the variables'
+    atoms = {}  # slot -> (function name, math function, prepared argument)
+
+    def slot_of(g):
+        if g not in slots:
+            arg = prepare(g.arg)
+            slots[g] = len(columns) + len(extra)
+            extra.append(None)  # filled at the atom's first occurrence
+            atoms[slots[g]] = (g.fn, _MATH_FN[g.fn], arg)
+        return slots[g]
+
+    def float_terms(p):
+        terms = []
+        for m, c in sorted(p.terms.items(), key=lambda t: t[0].sort_key(), reverse=True):
+            factors = tuple((slot_of(g), e) for g, e in m.items)
+            try:
+                terms.append((float(c), factors))
+            except OverflowError as exc:
+                # raise where float(c) would, before the term's first factor
+                extra.append(_Unfloatable(str(exc)))
+                terms.append((1.0, ((len(columns) + len(extra) - 1, 1),) + factors))
+        return terms
+
+    def exact_terms(p):
+        """(scale, degree, terms) with, for values a / B over a common
+        denominator B, p = sum(n * prod(a ** e) * B ** shift) / (scale * B ** degree)."""
+        scale = math.lcm(*(c.denominator for c in p.terms.values()))
+        degree = p.total_degree()
+        terms = [
+            (c.numerator * (scale // c.denominator), degree - m.degree, tuple((slots[g], e) for g, e in m.items))
+            for m, c in p.terms.items()
+        ]
+        return scale, degree, terms
+
+    def prepare(e):
+        """(float num, float den, exact num, exact den, has atoms, e); a den
+        of None is the constant 1, and atom-bearing nodes have no exact form."""
+        one = e.den == _POLY_ONE  # canonical constant denominators are 1
+        fnum, fden = float_terms(e.num), None if one else float_terms(e.den)
+        if any(not isinstance(g, str) for p in (e.num, e.den) for m in p.terms for g, _ in m.items):
+            return (fnum, fden, None, None, True, e)
+        return (fnum, fden, exact_terms(e.num), None if one else exact_terms(e.den), False, e)
+
+    top = prepare(expr)
+
+    def evaluate(values):
+        numeric = False
+        for v in values:
+            if isinstance(v, float):
+                numeric = True
+                break
+        w = exact = None
+        if numeric or atoms:
+            w = [v if v.__class__ is float else _to_float(v) for v in map(values.__getitem__, columns)]
+            w += extra
+        if not numeric:
+            q = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in map(values.__getitem__, columns)]
+            common = math.lcm(*(v.denominator for v in q))
+            exact = ([v.numerator * (common // v.denominator) for v in q], common)
+        state = (w, exact, numeric, atoms)  # what the evaluation helpers share
+        if numeric or top[4]:
+            return _eval_float(top, state)
+        return Fraction(*_eval_exact(top, exact))
+
+    return evaluate
+
+
+def _eval_float(node, state):
+    fnum, fden, _, _, _, expr = node
+    n = _sum_float(fnum, state)
+    if fden is None:
+        return n  # n / 1.0 is n
+    d = _sum_float(fden, state)
+    if d == 0:
+        raise PoleError(f"evaluation at a pole of {expr}")
+    return n / d
+
+
+def _sum_float(terms, state):
+    w = state[0]
+    total = 0.0
+    for c, factors in terms:
+        val = c
+        for k, e in factors:
+            gv = w[k]
+            if gv is None:
+                gv = _atom_value(k, state)
+            val = val * gv if e == 1 else val * gv ** e  # x ** 1 is x
+        total = total + val
+    return total
+
+
+def _eval_exact(node, exact):
+    """(n, d), d > 0, with n / d the exact value of an atom-free node."""
+    _, _, num, den, _, expr = node
+    a, common = exact
+    n, scale = _sum_exact(num, a, common)
+    if den is None:
+        return n, scale
+    d, dscale = _sum_exact(den, a, common)
+    if d == 0:
+        raise PoleError(f"evaluation at a pole of {expr}")
+    n, d = n * dscale, d * scale
+    return (n, d) if d > 0 else (-n, -d)
+
+
+def _sum_exact(poly, a, common):
+    scale, degree, terms = poly
+    total = 0
+    for c, shift, factors in terms:
+        for k, e in factors:
+            c *= a[k] if e == 1 else a[k] ** e
+        if shift and common != 1:
+            c *= common ** shift
+        total += c
+    return total, scale * common ** degree
+
+
+def _atom_value(k, state):
+    fn, f, node = state[3][k]
+    if node[4] or state[2]:
+        arg = _eval_float(node, state)
+    else:
+        arg = _eval_exact(node, state[1])
+    try:
+        # n / d of ints rounds correctly, as float(Fraction(n, d)) does
+        gv = f(arg if arg.__class__ is float else arg[0] / arg[1])
+    except (ValueError, OverflowError) as exc:
+        shown = arg if arg.__class__ is float else Fraction(*arg)
+        raise PoleError(f"{fn} undefined at argument {shown}") from exc
+    state[0][k] = gv
+    return gv
+
+
+def _outcome_with_message(fn, *args):
+    try:
+        r = fn(*args)
+    except (ExprError, OverflowError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    return ("value", type(r).__name__, repr(r))
+
+
+def test_compile_numeric_matches_the_walker():
+    """On the 300-expression corpus at the five point kinds, through
+    Expr.eval's names, through one prepared closure with an unused name and
+    through the sorted names that scans and zero tests pass."""
+    rng = random.Random("compile-numeric-oracle")
+    kinds = ("float", "fraction", "int", "mixed", "overflow")
+    seen = set()
+    checked = 0
+    while checked < 300:
+        try:
+            e = _random_expr(rng, 3)
+        except (ZeroDivisionError, PoleError):
+            continue
+        checked += 1
+        used = sorted(e.variables())
+        prepared = [
+            (names, compile_numeric(e, names), _walker_compile_numeric(e, names))
+            for names in (["x", "y", "z", "unused"], used)
+        ]
+        for kind in kinds:
+            for _ in range(2):
+                point = _random_point(rng, kind)
+                names = list(point)
+                want = _outcome_with_message(_walker_compile_numeric(e, names), list(point.values()))
+                assert _outcome_with_message(Expr.eval, e, point) == want, (str(e), point)
+                for names, new, old in prepared:
+                    values = [point.get(v, 0) for v in names]
+                    got = _outcome_with_message(new, values)
+                    assert got == _outcome_with_message(old, values), (str(e), names, values)
+                seen.add(want[:2])
+    assert {("value", "Fraction"), ("value", "float"), ("raises", "PoleError"), ("raises", "OverflowError")} <= seen
+
+
+def test_compile_numeric_deep_atoms_and_huge_coefficients_match_the_walker():
+    deep = parse_expr("sin(" * 99 + "x" + ")" * 99)
+    want = 0.5
+    for _ in range(99):
+        want = math.sin(want)
+    for point in ([0.5], [Fraction(1, 2)]):
+        assert repr(compile_numeric(deep, ["x"])(point)) == repr(want)
+        assert repr(_walker_compile_numeric(deep, ["x"])(point)) == repr(want)
+    huge = parse_expr("10^400*x")
+    cases = [huge, huge + sin(x), sin(huge) + x, x / (huge + y), huge * y + exp(x), parse_expr("x^2*y - 10^400")]
+    # -x at 0.0 is 0.0 + -0.0; an overflowing power comes before or after a pole of ln
+    cases += [-x, -x * y, parse_expr("x^400 + ln(y)"), parse_expr("x^400*y - ln(x)")]
+    points = [[1, 2], [0.5, 2], [Fraction(1, 3), 0], [10 ** 400, 0.5], [2, 10 ** 400], [800.0, 1], [0.0, -1.0], [10.0, -1.0], [-10.0, 1.0]]
+    for e in cases:
+        for values in points:
+            got = _outcome_with_message(compile_numeric(e, ["x", "y"]), values)
+            assert got == _outcome_with_message(_walker_compile_numeric(e, ["x", "y"]), values), (str(e), values)
 
 
 class TestSubstitution:
