@@ -29,27 +29,25 @@ class MetricError(ExprError):
     pass
 
 
-def det_expr(rows):
-    """Determinant of a square matrix of Exprs.
+def minor_table(rows):
+    """The minors of a square matrix of Exprs, as `minor(R, C)`: the
+    determinant on the increasing row tuple R and column tuple C.
 
     Each row is multiplied by the product of its distinct non-constant
-    denominators, which leaves a matrix of polynomials.  Its determinant is
-    the Laplace expansion along the first row, top-down, with the minor of
-    the lower rows on each column tuple computed once (n 2^(n-1) products,
-    no division, no gcd); a zero entry or a zero minor prunes its branch.
-    The one division, by the product of the row scales, is an `Expr.make`
-    at the end.  On a polynomial matrix this performs the products and sums
-    of plain Laplace expansion in its order."""
-    n = len(rows)
-    if n == 0:
-        return ONE
-    mat, den = [], _POLY_ONE
+    denominators, which leaves a matrix of polynomials.  A minor is the
+    Laplace expansion along the first row of R, each polynomial minor
+    computed once per (R, C) and shared by every minor that reaches it (no
+    division, no gcd); a zero entry or a zero minor prunes its branch.  The
+    one division, by the product of the row scales of R, is an `Expr.make`
+    at the end.  On the full matrix this performs the products and sums of
+    plain Laplace expansion in its order."""
+    mat, scales = [], []
     for row in rows:
-        dens = []
+        dens, scale = [], _POLY_ONE
         for e in row:
             if not e.den.is_const() and e.den not in dens:
                 dens.append(e.den)
-                den = den * e.den
+                scale = scale * e.den
         cleared = []
         for e in row:
             num = e.num
@@ -58,27 +56,41 @@ def det_expr(rows):
                     num = num * d
             cleared.append(num)
         mat.append(cleared)
+        scales.append(scale)
     memo = {}
 
-    def minor(cols):
-        """Determinant of the last len(cols) rows on the columns cols."""
-        if len(cols) == 1:
-            return mat[n - 1][cols[0]]
-        got = memo.get(cols)
+    def poly_minor(R, C):
+        if len(C) == 1:
+            return mat[R[0]][C[0]]
+        got = memo.get((R, C))
         if got is None:
-            row = mat[n - len(cols)]
+            row, rest = mat[R[0]], R[1:]
             got = _POLY_ZERO
-            for k, j in enumerate(cols):
+            for k, j in enumerate(C):
                 if not row[j].terms:
                     continue
-                sub = minor(cols[:k] + cols[k + 1:])
+                sub = poly_minor(rest, C[:k] + C[k + 1:])
                 if sub.terms:
                     term = row[j] * sub
                     got = got + term if k % 2 == 0 else got - term
-            memo[cols] = got
+            memo[(R, C)] = got
         return got
 
-    return Expr.make(minor(tuple(range(n))), den)
+    def minor(R, C):
+        if not R:
+            return ONE
+        den = _POLY_ONE
+        for r in R:
+            den = den * scales[r]
+        return Expr.make(poly_minor(R, C), den)
+
+    return minor
+
+
+def det_expr(rows):
+    """Determinant of a square matrix of Exprs (see `minor_table`)."""
+    full = tuple(range(len(rows)))
+    return minor_table(rows)(full, full)
 
 
 def _inertia(mat):
@@ -119,19 +131,6 @@ def _inertia(mat):
     return pos, neg
 
 
-def _adjugate(rows):
-    n = len(rows)
-    adj = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            cof = det_expr(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
-
-
 def sqrt_expr(e):
     """Exact square root of an Expr, or None when not a perfect square."""
     rn = _poly_sqrt(e.num)
@@ -145,9 +144,11 @@ def sqrt_expr(e):
 
 class Metric:
     """Symmetric invertible matrix of Exprs over a chart, with the inverse
-    and the exact volume factor cached at construction."""
+    and the exact volume factor cached at construction.  The determinant,
+    the inverse and every minor of the inverse are read from one
+    `minor_table` of g."""
 
-    __slots__ = ("chart", "rows", "inverse", "det", "volume", "sign_det", "signature")
+    __slots__ = ("chart", "rows", "inverse", "det", "volume", "sign_det", "signature", "_minor")
 
     def __init__(self, chart, rows, seed=0):
         n = chart.dim
@@ -158,7 +159,9 @@ class Metric:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise MetricError(f"metric not symmetric at ({i + 1},{j + 1})")
-        d = det_expr(rows)
+        minor = minor_table(rows)
+        full = tuple(range(n))
+        d = minor(full, full)
         if zero_test(d, seed=seed).value:
             raise MetricError("metric determinant is identically zero")
         vol = sqrt_expr(d)
@@ -168,15 +171,24 @@ class Metric:
             raise MetricError(
                 "sqrt|det g| does not simplify to a rational expression; metric rejected"
             )
-        adj = _adjugate(rows)
-        inv = tuple(tuple(adj[i][j] / d for j in range(n)) for i in range(n))
         self.chart = chart
         self.rows = rows
         self.det = d
-        self.inverse = inv
+        self._minor = minor
+        self.inverse = tuple(tuple(self.inverse_minor((i,), (j,)) for j in range(n)) for i in range(n))
         self.volume = vol
         self.signature = self._signature_at_sample(seed)
         self.sign_det = 1 if (self.signature[1] % 2 == 0) else -1
+
+    def inverse_minor(self, I, J):
+        """The minor of g^-1 on rows I and columns J (increasing tuples of
+        equal length), by Jacobi's identity:
+        (-1)^(sum I + sum J) det g[J^c, I^c] / det g."""
+        n = self.chart.dim
+        rest_J = tuple(k for k in range(n) if k not in J)
+        rest_I = tuple(k for k in range(n) if k not in I)
+        m = self._minor(rest_J, rest_I) / self.det
+        return -m if (sum(I) + sum(J)) % 2 else m
 
     def _signature_at_sample(self, seed):
         rng = random.Random(f"skewform-metric:{seed}:{[str(e) for r in self.rows for e in r]}")
@@ -194,22 +206,14 @@ class Metric:
 
     @staticmethod
     def euclidean(chart):
-        n = chart.dim
-        return Metric(chart, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Metric.diagonal(chart, [1] * chart.dim)
 
     @staticmethod
     def minkowski(chart):
         """Signature (+, -, ..., -) with the chart's first variable timelike."""
-        n = chart.dim
-        if n < 2:
+        if chart.dim < 2:
             raise MetricError("Minkowski metric needs dimension >= 2")
-        return Metric(
-            chart,
-            [
-                [(ONE if i == 0 else Expr.const(-1)) if i == j else ZERO for j in range(n)]
-                for i in range(n)
-            ],
-        )
+        return Metric.diagonal(chart, [1] + [-1] * (chart.dim - 1))
 
     @staticmethod
     def diagonal(chart, entries):
@@ -217,18 +221,7 @@ class Metric:
         entries = list(entries)
         if len(entries) != n:
             raise MetricError("diagonal metric needs one entry per chart variable")
-        return Metric(
-            chart,
-            [
-                [
-                    (entries[i] if isinstance(entries[i], Expr) else Expr.const(entries[i]))
-                    if i == j
-                    else ZERO
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-        )
+        return Metric(chart, [[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
     def __repr__(self):
         return f"Metric({self.chart}, signature {self.signature})"
@@ -256,8 +249,7 @@ def hodge_star(a, g):
     for J in combinations(range(n), p):
         s = ZERO
         for I, coeff in a.terms.items():
-            minor = [[g.inverse[j][i] for i in I] for j in J]
-            m = det_expr(minor)
+            m = g.inverse_minor(J, I)
             if not m.is_zero_struct():
                 s = s + coeff * m
         if s.is_zero_struct():

@@ -346,9 +346,10 @@ def is_exact(a, base=None, seed=0):
         return None
     if not a.is_polynomial():
         return None
-    if not is_closed(a, seed=seed):
+    try:
+        return homotopy_antiderivative(a, base=base, seed=seed)
+    except NotClosedError:
         return None
-    return homotopy_antiderivative(a, base=base, seed=seed)
 
 
 # -- text and JSON serialization ---------------------------------------------------

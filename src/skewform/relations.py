@@ -42,9 +42,11 @@ class Pseudostructure:
     """Parametrized m-dimensional surface inside an n-dimensional chart,
     m < n, given by one Expr per ambient coordinate over the parameter
     chart.  The parametrization must have generic rank m (checked by
-    sampling the Jacobian at random parameter points)."""
+    sampling the Jacobian at random parameter points).  `jacobian[i][k]` is
+    the derivative of the i-th ambient coordinate in the k-th parameter,
+    computed once here."""
 
-    __slots__ = ("ambient", "params", "mapping")
+    __slots__ = ("ambient", "params", "mapping", "jacobian")
 
     def __init__(self, ambient, params, mapping, seed=0):
         if params.dim >= ambient.dim:
@@ -57,14 +59,14 @@ class Pseudostructure:
         self.ambient = ambient
         self.params = params
         self.mapping = {k: (v if isinstance(v, Expr) else Expr.const(v)) for k, v in mapping.items()}
+        self.jacobian = tuple(
+            tuple(self.mapping[x].diff(u) for u in params.variables) for x in ambient.variables
+        )
         self._check_rank(seed)
 
     def _check_rank(self, seed):
         m = self.params.dim
-        jac = [
-            [self.mapping[x].diff(u) for u in self.params.variables]
-            for x in self.ambient.variables
-        ]
+        jac = self.jacobian
         names = sorted(
             set().union(*(entry.variables() for row in jac for entry in row)) | set(self.params.variables)
         )
@@ -87,15 +89,10 @@ class Pseudostructure:
     def differentials(self):
         """Pullbacks of the ambient coordinate differentials, as 1-forms
         over the parameter chart."""
-        out = {}
-        for x in self.ambient.variables:
-            terms = {}
-            for k, u in enumerate(self.params.variables):
-                d = self.mapping[x].diff(u)
-                if not d.is_zero_struct():
-                    terms[(k,)] = d
-            out[x] = DiffForm(self.params, 1, terms)
-        return out
+        return {
+            x: DiffForm(self.params, 1, {(k,): d for k, d in enumerate(row) if not d.is_zero_struct()})
+            for x, row in zip(self.ambient.variables, self.jacobian)
+        }
 
     def __repr__(self):
         comps = ", ".join(f"{x}={self.mapping[x]}" for x in self.ambient.variables)
@@ -133,9 +130,7 @@ def induced_metric(g, s):
         raise ChartError("metric chart does not match the pseudostructure")
     m = s.params.dim
     n = s.ambient.dim
-    jac = [
-        [s.mapping[x].diff(u) for u in s.params.variables] for x in s.ambient.variables
-    ]
+    jac = s.jacobian
     sub = {k: v for k, v in s.mapping.items()}
     rows = []
     for a in range(m):

@@ -306,16 +306,12 @@ class Poly:
         return _nonzero_poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        # Each factor is scaled by the lcm of its denominators, so partial
-        # sums are ints, zero exactly when the Fraction sums would be.  The
-        # dict sees the same inserts and pops in the same order as
-        # term-by-term Fraction arithmetic, so `terms` iterates in the same
-        # order (floats do not depend on it; see docs/CONVENTIONS.md).
+        # Each factor is scaled by the lcm of its denominators, so the
+        # products sum as ints, zero exactly when the Fraction sums would be.
         if not self.terms or not other.terms:
             return Poly({})
-        # A constant factor c scales the other term by term in its order,
-        # the dict the merge below builds (it never pops there); c == 1
-        # returns the other factor itself, as a Poly is immutable.
+        # A constant factor c scales the other term by term; c == 1 returns
+        # the other factor itself, as a Poly is immutable.
         if other.is_const():
             c = other.const_value()
             return self if c == 1 else self.scale(c)
@@ -330,15 +326,11 @@ class Poly:
             mul = m1.mul
             for m2, c2 in b:
                 m = mul(m2)
-                s = get(m, 0) + c1 * c2
-                if s:
-                    res[m] = s
-                else:
-                    del res[m]
+                res[m] = get(m, 0) + c1 * c2
         d = da * db
-        for m, s in res.items():
-            res[m] = Fraction(s, d) if d != 1 else Fraction(s)
-        return _nonzero_poly(res)
+        if d == 1:
+            return _nonzero_poly({m: Fraction(s) for m, s in res.items() if s})
+        return _nonzero_poly({m: Fraction(s, d) for m, s in res.items() if s})
 
     def _int_terms(self):
         """(L, [(m, c * L)]) with L the lcm of the coefficient denominators."""

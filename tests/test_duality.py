@@ -427,3 +427,50 @@ def test_memoized_det_matches_laplace_expansion():
         shapes.add(shape)
         singular += n >= 1 and got.is_zero_struct()
     assert len(shapes) == 5 and singular > 100 and 150 < polynomial < 250, (shapes, singular, polynomial)
+
+
+def _jacobi_metric(rng, chart):
+    """g = J^T diag(+-1) J for a random J with rational entries, so that
+    sqrt|det g| = |det J| is exact; None when J is singular.  Entries are
+    constant in 4D, where the oracle's determinants of blocks of a
+    rational g^-1 take seconds."""
+    n = chart.dim
+    u, v = Expr.var(chart.variables[0]), Expr.var(chart.variables[1])
+
+    def entry():
+        pick = rng.random() if n < 4 else 1
+        if pick < 0.1:
+            return Expr.const(rng.randint(-2, 2)) + rng.choice([u, v])
+        if pick < 0.15:
+            return Expr.const(rng.choice([-1, 1])) / (rng.choice([u, v]) + rng.randint(1, 3))
+        return Expr.const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    J = [[entry() for _ in range(n)] for _ in range(n)]
+    if det_expr(J).is_zero_struct():
+        return None
+    signs = [rng.choice([-1, 1]) for _ in range(n)]
+    rows = [[sum((J[k][i] * J[k][j] * signs[k] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
+    return Metric(chart, rows)
+
+
+def test_inverse_minors_follow_jacobi():
+    """Every minor of g^-1, read by Jacobi's identity from the minors of g,
+    is the determinant of that block of g^-1, and g g^-1 = I."""
+    rng = random.Random("jacobi-inverse-minors")
+    metrics = 0
+    while metrics < 24:
+        chart = Chart([f"x{i}" for i in range(1, 2 + metrics % 3 + 1)])
+        g = _jacobi_metric(rng, chart)
+        if g is None:
+            continue
+        metrics += 1
+        n = chart.dim
+        for i in range(n):
+            for j in range(n):
+                gg = sum((g.rows[i][k] * g.inverse[k][j] for k in range(n)), ZERO)
+                assert gg == (ONE if i == j else ZERO)
+        for p in range(n + 1):
+            for I in combinations(range(n), p):
+                for J in combinations(range(n), p):
+                    block = [[g.inverse[j][i] for i in I] for j in J]
+                    assert g.inverse_minor(J, I) == det_expr(block), (n, I, J)

@@ -31,6 +31,15 @@ def test_golden_session_report_bytes(monkeypatch, capsys):
     assert out == (ROOT / "tests" / "data" / "golden_session.json").read_text()
 
 
+def test_golden_catalog_report_bytes(capsys):
+    """`skewform catalog run --all --json --seed 3`: every catalog entry's
+    checks, verdicts and metric duals."""
+    code = main(["catalog", "run", "--all", "--json", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (ROOT / "tests" / "data" / "golden_catalog_seed3.json").read_text()
+
+
 @pytest.mark.parametrize("name", ["golden_scans", "golden_scans_poisson"])
 def test_golden_scan_report_bytes(name, monkeypatch, capsys):
     """`skewform check --json --seed 5` of polynomial determinant, Jacobian

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from skewform import exterior
 from skewform.symexpr import Expr, parse_expr, sin
 from skewform.exterior import (
     Chart,
@@ -224,6 +225,19 @@ class TestIsExact:
 
     def test_degree_zero_returns_none(self):
         assert is_exact(DiffForm.scalar(ch2, Expr.const(5))) is None
+
+    @pytest.mark.parametrize("text, exact", [("y*d[x] + x*d[y]", True), ("-y*d[x] + x*d[y]", False)])
+    def test_closure_tested_once(self, text, exact, monkeypatch):
+        calls = []
+        real_is_closed = exterior.is_closed
+
+        def counting_is_closed(a, seed=0):
+            calls.append(a)
+            return real_is_closed(a, seed=seed)
+
+        monkeypatch.setattr(exterior, "is_closed", counting_is_closed)
+        assert (is_exact(parse_form(text, ch2)) is not None) == exact
+        assert len(calls) == 1
 
 
 class TestSerialization:
