@@ -392,10 +392,7 @@ def _sample_zero_locus(F, seed, tol, lines):
         direction = [rng.uniform(-1.0, 1.0) for _ in names]
         if all(abs(d) < 1e-12 for d in direction):
             continue
-
-        def value(srel):
-            return float(f([b + srel * d for b, d in zip(base, direction)]))
-
+        value = f.line(base, direction)
         samples = 33
         prev_s = -5.0
         try:

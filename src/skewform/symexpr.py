@@ -1069,6 +1069,12 @@ def compile_numeric(expr, names):
     `n / d`.  A zero denominator, or a domain or range error inside
     sin/cos/exp/ln, raises PoleError; an overflowing float power,
     coefficient or value raises OverflowError.
+
+    Two entries skip the per-call checks and reuse the same closures, so
+    their values are those of f, to the bit: f.line(base, direction)
+    returns value(s), the float value at the point base + s * direction
+    of floats, and f.at_fractions(nums, den) is the value at the point
+    nums[i] / den of ints, den > 0, each quotient within float range.
     """
     position = {v: i for i, v in enumerate(names)}
     variables = expr.variables()
@@ -1116,8 +1122,13 @@ def compile_numeric(expr, names):
     width = nvars if columns == list(range(len(names))) else -1
     atoms = bool(getters)
 
-    def evaluate(values):
+    def float_top():
         nonlocal top_float
+        if top_float is None:
+            top_float = float_node(expr)
+        return top_float
+
+    def evaluate(values):
         for v in values:
             if isinstance(v, float):
                 numeric = True
@@ -1132,10 +1143,32 @@ def compile_numeric(expr, names):
                 if not numeric:
                     w[-1] = _exact_values(picked)
             elif top_float is None:
-                top_float = float_node(expr)
+                float_top()
             return top_float(w)
         return Fraction(*top_exact(_exact_values(picked)))
 
+    def line(base, direction):
+        top = float_top()
+        pairs = [(base[i], direction[i]) for i in columns]
+
+        def value(s):
+            w = [b + s * d for b, d in pairs]
+            w += blank  # fresh atom slots at every point
+            return top(w)
+
+        return value
+
+    def at_fractions(nums, den):
+        picked = nums if len(nums) == width else [nums[i] for i in columns]
+        if not atoms:
+            return Fraction(*top_exact((picked, den)))
+        w = [n / den for n in picked]  # correctly rounded, as float(Fraction(n, den))
+        w += blank
+        w[-1] = (picked, den)
+        return top_float(w)
+
+    evaluate.line = line
+    evaluate.at_fractions = at_fractions
     return evaluate
 
 
@@ -1328,27 +1361,33 @@ def zero_test(e, seed=0, samples=ZERO_TEST_SAMPLES, tol=ZERO_TEST_TOL):
     """Decide whether e is identically zero.
 
     Exact via the canonical form when e is purely rational; with elementary
-    functions present, falls back to seeded sampling at random rational
-    points in [-10, 10] (poles are resampled, bounded retries).
+    functions present, falls back to seeded sampling at random points
+    k / 1000 in [-10, 10], one seeded integer k per variable.  A sample at
+    a pole or with an overflowing float is drawn again, at most 8 times.
     """
     if e.num.is_zero():
         return ZeroDecision(True, False)
     if not e.has_atoms():
         return ZeroDecision(False, False)
     names = sorted(e.variables())
-    f = compile_numeric(e, names)
+    f = compile_numeric(e, names).at_fractions
     rng = random.Random(f"skewform-zero:{seed}:{e}")
     for _ in range(samples):
+        overflowed = False
         for attempt in range(8):
-            point = [Fraction(rng.randint(-10000, 10000), 1000) for _ in names]
+            point = [rng.randint(-10000, 10000) for _ in names]
             try:
-                val = f(point)
+                val = f(point, 1000)
             except PoleError:
+                continue
+            except OverflowError:
+                overflowed = True
                 continue
             break
         else:
-            raise ZeroTestError(f"could not sample {e} away from poles")
-        if abs(float(val)) >= tol:
+            away = "poles or float overflow" if overflowed else "poles"
+            raise ZeroTestError(f"could not sample {e} away from {away}")
+        if abs(val) >= tol:
             return ZeroDecision(False, True)
     return ZeroDecision(True, True)
 

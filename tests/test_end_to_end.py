@@ -43,9 +43,10 @@ def test_golden_catalog_report_bytes(capsys):
 @pytest.mark.parametrize("name", ["golden_scans", "golden_scans_poisson"])
 def test_golden_scan_report_bytes(name, monkeypatch, capsys):
     """`skewform check --json --seed 5` of polynomial determinant, Jacobian
-    and Poisson scans.  Their zero points are floats summed in `Poly.terms`
-    order, so these bytes move when a kernel change reorders terms (the
-    golden session at seed 0 does not show that)."""
+    and Poisson scans.  Their zero points are floats, each polynomial summed
+    term by term in descending `Monomial.sort_key()` order whatever order its
+    `terms` dict was built in, so these bytes pin the float operations of
+    the numeric evaluator and of the scan's bisection."""
     monkeypatch.chdir(ROOT)
     code = main(["check", f"tests/data/{name}.sf", "--json", "--seed", "5"])
     out = capsys.readouterr().out

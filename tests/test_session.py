@@ -328,6 +328,14 @@ class TestCli:
         bad.write_text("chart x y\nform w = y*d[x] + x*d[y]\ncheck closed w expect false\n")
         assert run_cli("check", str(bad)).returncode == 1
 
+    def test_check_scan_with_overflowing_samples(self, tmp_path):
+        # exp(x^2)^8 overflows a float at some zero-test samples; they are drawn again
+        f = tmp_path / "overflow.sf"
+        f.write_text("chart x y\nscan determinant [exp(x^2)^8 - exp(x^2)^7*sin(x)]\n")
+        proc = run_cli("check", str(f), "--seed", "0")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "(identically zero: False, 0 locus samples)" in proc.stdout
+
     @pytest.mark.parametrize("tail, count", [("steps", "''"), ("steps x", "'x'")])
     def test_chain_bad_steps_count(self, tmp_path, tail, count):
         f = tmp_path / "chain.sf"

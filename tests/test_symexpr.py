@@ -12,6 +12,9 @@ from skewform.symexpr import (
     PoleError,
     Poly,
     UnboundVariableError,
+    ZERO_TEST_SAMPLES,
+    ZERO_TEST_TOL,
+    ZeroDecision,
     ZeroTestError,
     all_zero,
     compile_numeric,
@@ -237,6 +240,22 @@ class TestZeroTest:
         # ln of a strictly negative argument is undefined at every sample
         with pytest.raises(ZeroTestError):
             zero_test(ln(-1 - x ** 2))
+
+    def test_overflowing_samples_are_resampled(self):
+        # exp(x^2)^8 overflows a float for |x| > 9.41; F = e^{7x^2}(e^{x^2} - sin x) > 0
+        e = parse_expr("*".join(["exp(x^2)"] * 8) + " - exp(x^2)^7*sin(x)")
+        with pytest.raises(OverflowError):
+            compile_numeric(e, ["x"])([Fraction(-9997, 1000)])
+        for seed in range(6):
+            d = zero_test(e, seed=seed)
+            assert (d.value, d.probabilistic) == (False, True)
+
+    def test_give_up_message_names_overflow(self):
+        with pytest.raises(ZeroTestError, match=r"away from poles$"):
+            zero_test(ln(-1 - x ** 2))
+        # exp(x^2 + 700) is about 1e304 and overflows when squared
+        with pytest.raises(ZeroTestError, match=r"away from poles or float overflow$"):
+            zero_test(exp(x ** 2 + 700) ** 2 - sin(x))
 
 
 class TestAllZero:
@@ -651,6 +670,143 @@ def test_compile_numeric_matches_the_walker():
                     assert got == _outcome_with_message(old, values), (str(e), names, values)
                 seen.add(want[:2])
     assert {("value", "Fraction"), ("value", "float"), ("raises", "PoleError"), ("raises", "OverflowError")} <= seen
+
+
+def _random_line(rng, kind, n):
+    """(base, direction, steps) of a seeded line in n coordinates: `scan`
+    lines as degenerate_scan draws them, `lattice` lines through integer
+    points (poles, ln(0)) and `far` lines (exp and ** overflow)."""
+    if kind == "scan":
+        base = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+        direction = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        return base, direction, [-5.0 + 10.0 * k / 33 for k in range(0, 34, 4)] + [rng.uniform(-5.0, 5.0)]
+    if kind == "lattice":
+        base = [float(rng.randint(-2, 2)) for _ in range(n)]
+        direction = [float(rng.randint(-1, 1)) for _ in range(n)]
+        return base, direction, [float(k) for k in range(-3, 4)]
+    base = [rng.choice([800.0, -800.0, 1e120, 30.0, 0.5]) for _ in range(n)]
+    return base, [rng.uniform(-1.0, 1.0) for _ in range(n)], [-5.0, 0.0, 2.5]
+
+
+def test_line_entry_matches_compile_numeric_and_the_walker():
+    """`f.line(base, direction)(s)` gives the value, to the bit, or the
+    exception, in type and message, of f and of the walker at the point
+    base + s * direction, on the 300-expression corpus along seeded lines,
+    with the sorted names that scans pass and with an unused name."""
+    rng = random.Random("line-entry-oracle")
+    seen = set()
+    checked = 0
+    while checked < 300:
+        try:
+            e = _random_expr(rng, 3)
+        except (ZeroDivisionError, PoleError):
+            continue
+        checked += 1
+        used = sorted(e.variables())
+        for names in (["x", "y", "z", "unused"], used):
+            if not names:
+                continue  # a point with no coordinates holds no float
+            f, old = compile_numeric(e, names), _walker_compile_numeric(e, names)
+            for kind in ("scan", "lattice", "far"):
+                base, direction, steps = _random_line(rng, kind, len(names))
+                value = f.line(base, direction)
+                for s in steps:
+                    values = [b + s * d for b, d in zip(base, direction)]
+                    want = _outcome_with_message(old, values)
+                    assert _outcome_with_message(f, values) == want, (str(e), values)
+                    assert _outcome_with_message(value, s) == want, (str(e), names, base, direction, s)
+                    seen.add(want[:2])
+    assert {("value", "float"), ("raises", "PoleError"), ("raises", "OverflowError")} <= seen
+
+
+# The zero test at Fraction points that `zero_test` replaced, kept verbatim
+# (renamed) as the oracle for its integer sample points.
+
+def _fraction_point_zero_test(e, seed=0, samples=ZERO_TEST_SAMPLES, tol=ZERO_TEST_TOL):
+    """Decide whether e is identically zero.
+
+    Exact via the canonical form when e is purely rational; with elementary
+    functions present, falls back to seeded sampling at random rational
+    points in [-10, 10] (poles are resampled, bounded retries).
+    """
+    if e.num.is_zero():
+        return ZeroDecision(True, False)
+    if not e.has_atoms():
+        return ZeroDecision(False, False)
+    names = sorted(e.variables())
+    f = compile_numeric(e, names)
+    rng = random.Random(f"skewform-zero:{seed}:{e}")
+    for _ in range(samples):
+        for attempt in range(8):
+            point = [Fraction(rng.randint(-10000, 10000), 1000) for _ in names]
+            try:
+                val = f(point)
+            except PoleError:
+                continue
+            break
+        else:
+            raise ZeroTestError(f"could not sample {e} away from poles")
+        if abs(float(val)) >= tol:
+            return ZeroDecision(False, True)
+    return ZeroDecision(True, True)
+
+
+def _decision(test, e, seed):
+    try:
+        d = test(e, seed=seed)
+    except ZeroTestError as exc:
+        return ("raises", str(exc))
+    return (d.value, d.probabilistic)
+
+
+def test_integer_sample_points_match_fraction_points():
+    """zero_test at the points k / 1000 of ints gives the decision, or the
+    ZeroTestError text, of the Fraction-point loop, on the atom-bearing
+    corpus expressions, on sampled identities over them, and on ln(x) and
+    1/sin(x) pole cases.  Where the old loop let an OverflowError escape the
+    new one resamples, so those cases are left out (and counted)."""
+    rng = random.Random("integer-points-oracle")
+    cases = [ln(x), ln(x) * ln(y) * cos(x), 1 / sin(x) + x, 1 / sin(x * y) - 1 / sin(x) ** 2, ln(-1 - x ** 2)]
+    cases += [sin(ln(x)) ** 2 + cos(ln(x)) ** 2 - 1, ln(x) * ln(y) * ln(Expr.var("z")) * (sin(x) ** 2 + cos(x) ** 2 - 1)]
+    cases.append(1 / (sin(x) ** 2 + cos(x) ** 2 - 1))
+    while len(cases) < 200:
+        try:
+            e = _random_expr(rng, 3)
+        except (ZeroDivisionError, PoleError):
+            continue
+        if e.has_atoms():
+            cases += [e, sin(e) ** 2 + cos(e) ** 2 - 1]
+    seen, escaped = set(), 0
+    for e in cases:
+        for seed in (0, 1):
+            try:
+                want = _decision(_fraction_point_zero_test, e, seed)
+            except OverflowError:
+                escaped += 1
+                continue
+            assert _decision(zero_test, e, seed) == want, (str(e), seed)
+            seen.add(want[0])
+    assert seen == {True, False, "raises"} and escaped < 20, (seen, escaped)
+
+
+def test_fractions_entry_matches_compile_numeric():
+    """`f.at_fractions(nums, den)` gives the value, to the bit and in type
+    (a Fraction for an atom-free expression), or the exception, in type and
+    message, of f at the Fractions nums[i] / den."""
+    rng = random.Random("fractions-entry")
+    seen = set()
+    for _ in range(300):
+        try:
+            e = _random_expr(rng, 3)
+        except (ZeroDivisionError, PoleError):
+            continue
+        f = compile_numeric(e, ["x", "y", "z"])
+        for den in (1000, 1, 7):
+            nums = [rng.randint(-3 * den, 3 * den) for _ in range(3)]
+            want = _outcome_with_message(f, [Fraction(n, den) for n in nums])
+            assert _outcome_with_message(f.at_fractions, nums, den) == want, (str(e), nums, den)
+            seen.add(want[:2])
+    assert {("value", "Fraction"), ("value", "float"), ("raises", "PoleError")} <= seen
 
 
 def test_compile_numeric_deep_atoms_and_huge_coefficients_match_the_walker():
