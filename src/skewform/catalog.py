@@ -17,7 +17,6 @@ from .exterior import (
     Chart,
     DiffForm,
     ext_d,
-    form_to_text,
     homotopy_antiderivative,
     is_closed,
     parse_form,
@@ -262,6 +261,10 @@ class EntryReport:
             }
         )
 
+    def equal(self, label, actual, expected):
+        """Record whether actual == expected, with both as text."""
+        self.add(label, actual == expected, expected, actual)
+
     @property
     def passed(self):
         return all(c["ok"] for c in self.checks)
@@ -284,14 +287,8 @@ def _entry_poincare(rep, seed):
     omega = parse_form("p*d[q] - (p^2/2)*d[t]", chart)
     r = Relation(DiffForm.zero(chart, 0), omega)
     v = classify(r, seed=seed)
-    rep.add("ambient classification", v.classification == NONIDENTICAL, NONIDENTICAL, v.classification)
-    expected_comm = parse_form("p*d[t]^d[p] - d[q]^d[p]", chart)
-    rep.add(
-        "ambient commutator d(omega)",
-        v.commutator == expected_comm,
-        form_to_text(expected_comm),
-        form_to_text(v.commutator),
-    )
+    rep.equal("ambient classification", v.classification, NONIDENTICAL)
+    rep.equal("ambient commutator d(omega)", v.commutator, parse_form("p*d[t]^d[p] - d[q]^d[p]", chart))
     params = Chart(["u", "c"])
     traj = Pseudostructure(
         chart,
@@ -300,14 +297,13 @@ def _entry_poincare(rep, seed):
         seed=seed,
     )
     von = classify_on(r, traj, seed=seed)
-    rep.add("restricted classification", von.classification == CLOSED_RHS, CLOSED_RHS, von.classification)
-    rep.add("restricted closure d_pi(omega_pi) = 0", von.pi_closure is True, True, von.pi_closure)
+    rep.equal("restricted classification", von.classification, CLOSED_RHS)
+    rep.equal("restricted closure d_pi(omega_pi) = 0", von.pi_closure, True)
     steps = integrate_chain(r, traj, seed=seed)
     rep.add("chain descends one degree", len(steps) == 1 and steps[0].degree == 0, "1 step to degree 0", f"{len(steps)} steps")
     if steps:
         theta = steps[0].right
-        expected_theta = DiffForm.scalar(params, parse_expr("c^2*u/2"))
-        rep.add("integrated scalar", theta == expected_theta, form_to_text(expected_theta), form_to_text(theta))
+        rep.equal("integrated scalar", theta, DiffForm.scalar(params, parse_expr("c^2*u/2")))
         rep.add(
             "antiderivative verified: d_pi(theta) = omega_pi",
             ext_d(theta) == pullback(omega, traj),
@@ -320,10 +316,10 @@ def _entry_cauchy_riemann(rep, seed):
     v = parse_expr("2*x*y")
     omega1 = DiffForm(chart, 1, {(0,): u, (1,): -v})
     omega2 = DiffForm(chart, 1, {(0,): v, (1,): u})
-    rep.add("u dx - v dy closed", is_closed(omega1, seed=seed), True, is_closed(omega1, seed=seed))
-    rep.add("v dx + u dy closed", is_closed(omega2, seed=seed), True, is_closed(omega2, seed=seed))
+    rep.equal("u dx - v dy closed", is_closed(omega1, seed=seed), True)
+    rep.equal("v dx + u dy closed", is_closed(omega2, seed=seed), True)
     bad = DiffForm(chart, 1, {(0,): parse_expr("x*y"), (1,): u})
-    rep.add("non-conjugate pair is not closed", not is_closed(bad, seed=seed), False, is_closed(bad, seed=seed))
+    rep.equal("non-conjugate pair is not closed", is_closed(bad, seed=seed), False)
 
 
 def _entry_vital_force(rep, seed):
@@ -332,21 +328,19 @@ def _entry_vital_force(rep, seed):
     T = m * (Expr.var("v1") ** 2 + Expr.var("v2") ** 2) / 2
     omega = DiffForm(chart, 1, {(0,): m * Expr.var("v1"), (1,): m * Expr.var("v2")})
     v = classify(Relation(DiffForm.scalar(chart, T), omega), seed=seed)
-    rep.add("potential force: identical", v.classification == IDENTICAL, IDENTICAL, v.classification)
+    rep.equal("potential force: identical", v.classification, IDENTICAL)
     rotational = omega + DiffForm(chart, 1, {(0,): -Expr.var("v2"), (1,): Expr.var("v1")})
     v2 = classify(Relation(DiffForm.scalar(chart, T), rotational), seed=seed)
-    rep.add("rotational extra force: nonidentical", v2.classification == NONIDENTICAL, NONIDENTICAL, v2.classification)
-    expected = parse_form("2*d[v1]^d[v2]", chart)
-    rep.add("rotational commutator", v2.commutator == expected, form_to_text(expected), form_to_text(v2.commutator))
+    rep.equal("rotational extra force: nonidentical", v2.classification, NONIDENTICAL)
+    rep.equal("rotational commutator", v2.commutator, parse_form("2*d[v1]^d[v2]", chart))
 
 
 def _entry_thermo_first(rep, seed):
     chart = Chart(["E", "V", "p"])
     omega = parse_form("d[E] + p*d[V]", chart)
     v = classify(Relation(DiffForm.zero(chart, 0), omega), seed=seed)
-    rep.add("classification", v.classification == NONIDENTICAL, NONIDENTICAL, v.classification)
-    expected = parse_form("-d[V]^d[p]", chart)
-    rep.add("commutator dp ^ dV", v.commutator == expected, form_to_text(expected), form_to_text(v.commutator))
+    rep.equal("classification", v.classification, NONIDENTICAL)
+    rep.equal("commutator dp ^ dV", v.commutator, parse_form("-d[V]^d[p]", chart))
 
 
 def _entry_thermo_second(rep, seed):
@@ -354,7 +348,7 @@ def _entry_thermo_second(rep, seed):
     omega = parse_form("(1/T)*d[E] + (p/T)*d[V]", chart)
     r = Relation(DiffForm.zero(chart, 0), omega)
     v = classify(r, seed=seed)
-    rep.add("ambient classification", v.classification == NONIDENTICAL, NONIDENTICAL, v.classification)
+    rep.equal("ambient classification", v.classification, NONIDENTICAL)
     params = Chart(["a", "b"])
     a, b = Expr.var("a"), Expr.var("b")
     third2 = Expr.const(Fraction(2, 3))
@@ -365,14 +359,14 @@ def _entry_thermo_second(rep, seed):
         seed=seed,
     )
     von = classify_on(r, gas, seed=seed)
-    rep.add("state-surface closure", von.pi_closure is True, True, von.pi_closure)
-    rep.add("state-surface classification", von.classification == CLOSED_RHS, CLOSED_RHS, von.classification)
+    rep.equal("state-surface closure", von.pi_closure, True)
+    rep.equal("state-surface classification", von.classification, CLOSED_RHS)
     entropy = Expr.const(Fraction(3, 2)) * ln(a) + ln(b)
     witness = classify(
         Relation(DiffForm.scalar(params, entropy), pullback(omega, gas)), seed=seed
     )
-    rep.add("entropy witness: identical", witness.classification == IDENTICAL, IDENTICAL, witness.classification)
-    rep.add("witness verdict is exact", not witness.probabilistic, False, witness.probabilistic)
+    rep.equal("entropy witness: identical", witness.classification, IDENTICAL)
+    rep.equal("witness verdict is exact", witness.probabilistic, False)
 
 
 def _entry_bianchi(rep, seed):
@@ -421,32 +415,32 @@ def _entry_bianchi(rep, seed):
         for mu in range(2)
         for nu in range(2)
     )
-    rep.add("diag(1, x^2) is flat", flat, True, flat)
+    rep.equal("diag(1, x^2) is flat", flat, True)
 
 
 def _entry_canonical(rep, seed):
     res = canonical_check("p", "-q", seed=seed)
-    rep.add("(Q,P)=(p,-q) canonical", res.is_canonical, True, res.is_canonical)
-    rep.add("W = p*q", res.W == parse_expr("p*q"), "p*q", res.W)
+    rep.equal("(Q,P)=(p,-q) canonical", res.is_canonical, True)
+    rep.equal("W = p*q", res.W, parse_expr("p*q"))
     res2 = canonical_check("q", "p", seed=seed)
     rep.add("identity map canonical", res2.is_canonical and res2.W == ZERO, "W = 0", res2.W)
     res3 = canonical_check("q^2", "p", seed=seed)
-    rep.add("(Q,P)=(q^2,p) not canonical", not res3.is_canonical, False, res3.is_canonical)
+    rep.equal("(Q,P)=(q^2,p) not canonical", res3.is_canonical, False)
 
 
 def _entry_legendre(rep, seed):
     res = legendre_transform("qdot^2/2 - q^2/2", seed=seed)
-    rep.add("p = qdot", res.p == parse_expr("qdot"), "qdot", res.p)
+    rep.equal("p = qdot", res.p, parse_expr("qdot"))
     rep.add(
         "H = p^2/2 + q^2/2",
         res.H == parse_expr("p^2/2 + q^2/2"),
         "p^2/2 + q^2/2",
         res.H,
     )
-    rep.add("degeneracy = 1", res.degeneracy == ONE, "1", res.degeneracy)
+    rep.equal("degeneracy = 1", res.degeneracy, ONE)
     cubic = legendre_transform("qdot^3/3", seed=seed)
-    rep.add("cubic: elimination refused", cubic.H is None, None, cubic.H)
-    rep.add("cubic degeneracy = 2*qdot", cubic.degeneracy == parse_expr("2*qdot"), "2*qdot", cubic.degeneracy)
+    rep.equal("cubic: elimination refused", cubic.H, None)
+    rep.equal("cubic degeneracy = 2*qdot", cubic.degeneracy, parse_expr("2*qdot"))
     locus_ok = cubic.locus is not None and cubic.locus.zero_points and all(
         abs(2 * pt["qdot"]) < 1e-9 for pt in cubic.locus.zero_points
     )
@@ -477,18 +471,18 @@ def _entry_duality(rep, seed):
     ch = Chart(["x", "y"])
     g = Metric.euclidean(ch)
     dx, dy = DiffForm.basis(ch, "x"), DiffForm.basis(ch, "y")
-    rep.add("star dx = dy", hodge_star(dx, g) == dy, "d[y]", form_to_text(hodge_star(dx, g)))
-    rep.add("star dy = -dx", hodge_star(dy, g) == -dx, "-d[x]", form_to_text(hodge_star(dy, g)))
+    rep.equal("star dx = dy", hodge_star(dx, g), dy)
+    rep.equal("star dy = -dx", hodge_star(dy, g), -dx)
     div_form = DiffForm(ch, 1, {(0,): Expr.var("x"), (1,): Expr.var("y")})
     delta = codifferential(div_form, g).as_scalar()
-    rep.add("delta(x dx + y dy) = -2", delta == Expr.const(-2), -2, delta)
+    rep.equal("delta(x dx + y dy) = -2", delta, Expr.const(-2))
     lap = laplacian(DiffForm.scalar(ch, parse_expr("x^2 + y^2")), g).as_scalar()
-    rep.add("laplacian(x^2 + y^2) = 4", lap == Expr.const(4), 4, lap)
+    rep.equal("laplacian(x^2 + y^2) = 4", lap, Expr.const(4))
     chm = Chart(["t", "x"])
     gm = Metric.minkowski(chm)
     wave = laplacian(DiffForm.scalar(chm, parse_expr("t^2 - x^2")), gm).as_scalar()
-    rep.add("laplacian(t^2 - x^2) = 4 on diag(1,-1)", wave == Expr.const(4), 4, wave)
-    rep.add("consistent operator sign", lap == wave, str(lap), str(wave))
+    rep.equal("laplacian(t^2 - x^2) = 4 on diag(1,-1)", wave, Expr.const(4))
+    rep.equal("consistent operator sign", wave, lap)
     vol = hodge_star(DiffForm.scalar(ch, 1), g)
     rep.add("star 1 = volume form", vol == parse_form("d[x]^d[y]", ch))
 

@@ -20,8 +20,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .symexpr import Expr, ExprError, ONE, ZERO, all_zero, zero_test, _POLY_ONE, _POLY_ZERO, _poly_sqrt
-from .exterior import Chart, ChartError, DiffForm, FormError, ext_d
+from .symexpr import Expr, ExprError, ONE, ZERO, compile_numeric, zero_test, _POLY_ONE, _POLY_ZERO, _poly_sqrt
+from .exterior import Chart, ChartError, DiffForm, FormError, _merge_indices, ext_d, is_closed
 from .manifold import Connection
 
 
@@ -131,6 +131,20 @@ def _inertia(mat):
     return pos, neg
 
 
+def _sampled_matrices(rows, names, rng, lo, hi, tries):
+    """The matrix of Exprs `rows` at up to `tries` points names[k] =
+    rng.randint(lo, hi) / 1000, skipping a point at a pole; each entry is
+    compiled once and gives `Expr.eval`'s value at that point."""
+    entries = [[compile_numeric(e, names).at_fractions for e in row] for row in rows]
+    for _ in range(tries):
+        point = [rng.randint(lo, hi) for _ in names]
+        try:
+            mat = [[f(point, 1000) for f in row] for row in entries]
+        except ExprError:
+            continue
+        yield mat
+
+
 def sqrt_expr(e):
     """Exact square root of an Expr, or None when not a perfect square."""
     rn = _poly_sqrt(e.num)
@@ -193,12 +207,7 @@ class Metric:
     def _signature_at_sample(self, seed):
         rng = random.Random(f"skewform-metric:{seed}:{[str(e) for r in self.rows for e in r]}")
         names = sorted({v for r in self.rows for e in r for v in e.variables()})
-        for _ in range(64):
-            point = {v: Fraction(rng.randint(1, 4000), 1000) for v in names}
-            try:
-                mat = [[e.eval(point) for e in row] for row in self.rows]
-            except ExprError:
-                continue
+        for mat in _sampled_matrices(self.rows, names, rng, 1, 4000, 64):
             pos, neg = _inertia(mat)
             if pos + neg == len(mat):  # else g is singular here
                 return (pos, neg)
@@ -232,12 +241,6 @@ def _require_metric_chart(a, g):
         raise ChartError(f"chart mismatch: {a.chart} vs {g.chart}")
 
 
-def _perm_sign(first, second):
-    """Sign of the permutation (first + second) of 0..n-1, both increasing."""
-    inv = sum(1 for i in first for j in second if i > j)
-    return -1 if inv % 2 else 1
-
-
 def hodge_star(a, g):
     """The metric dual (n-p)-form, fixed by alpha ^ star(beta) = <alpha,beta> vol."""
     _require_metric_chart(a, g)
@@ -256,15 +259,13 @@ def hodge_star(a, g):
             continue
         K = tuple(i for i in range(n) if i not in J)
         val = s * g.volume
-        if _perm_sign(J, K) < 0:
-            val = -val
-        res[K] = res.get(K, ZERO) + val
+        res[K] = val if _merge_indices(J, K)[0] > 0 else -val
     return DiffForm(g.chart, n - p, res)
 
 
 def dual_closure_check(a, g, seed=0):
     """True iff the dual form is closed: d(star a) = 0."""
-    return all_zero(ext_d(hodge_star(a, g)).terms.values(), seed).value
+    return is_closed(hodge_star(a, g), seed)
 
 
 def codifferential(a, g):

@@ -17,6 +17,7 @@ from .symexpr import (
     ExprSyntaxError,
     FUNCTIONS,
     ZERO,
+    _join_signed,
     _make_atom_expr,
     all_zero,
     integrate_unit_interval,
@@ -258,15 +259,13 @@ def ext_d(a):
     res = {}
     for idx, coeff in a.terms.items():
         for k, name in enumerate(chart.variables):
-            if k in idx:
+            sign, new_idx = _merge_indices((k,), idx)
+            if sign == 0:
                 continue
             dc = coeff.diff(name)
             if dc.is_zero_struct():
                 continue
-            pos = sum(1 for i in idx if i < k)
-            new_idx = tuple(sorted(idx + (k,)))
-            term = dc if pos % 2 == 0 else -dc
-            res[new_idx] = res.get(new_idx, ZERO) + term
+            res[new_idx] = res.get(new_idx, ZERO) + (dc if sign > 0 else -dc)
     return DiffForm(chart, a.degree + 1, res)
 
 
@@ -277,17 +276,20 @@ def is_closed(a, seed=0):
 
 def commutator1(a):
     """Antisymmetric coefficient matrix K[i][j] = da_j/dx^i - da_i/dx^j of a
-    1-form; zero exactly when the form is closed."""
+    1-form, read off ext_d(a); zero exactly when the form is closed."""
     if a.degree != 1:
         raise FormError(f"commutator of a degree-{a.degree} form (expected degree 1)")
-    chart = a.chart
-    comps = [a.coefficient((i,)) for i in range(chart.dim)]
-    K = [[ZERO] * chart.dim for _ in range(chart.dim)]
-    for i in range(chart.dim):
-        for j in range(chart.dim):
-            if i == j:
-                continue
-            K[i][j] = comps[j].diff(chart.variables[i]) - comps[i].diff(chart.variables[j])
+    return _antisymmetric_matrix(ext_d(a))
+
+
+def _antisymmetric_matrix(b):
+    """The matrix K of a 2-form b: K[i][j] is the coefficient of
+    dx^i ^ dx^j for i < j, K[j][i] = -K[i][j], and the diagonal is zero."""
+    n = b.chart.dim
+    K = [[ZERO] * n for _ in range(n)]
+    for (i, j), c in b.terms.items():
+        K[i][j] = c
+        K[j][i] = -c
     return K
 
 
@@ -384,11 +386,7 @@ def form_to_text(a):
                 chunks.append(("-", f"{body[1:]} * {basis}"))
             else:
                 chunks.append(("+", f"{body} * {basis}"))
-    sign, body = chunks[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _join_signed(chunks)
 
 
 FORM_SCHEMA = "skewform/form@1"

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .symexpr import Expr, ZERO, all_zero, parse_expr
-from .exterior import Chart, ChartError, DiffForm, FormError, ext_d
+from .exterior import Chart, ChartError, DiffForm, FormError, _antisymmetric_matrix, _merge_indices, ext_d
 
 
 class TorsionError(FormError):
@@ -107,25 +107,24 @@ def covariant_deriv(a, c):
 def evo_commutator(a, c):
     """Commutator K[a][b] of a 1-form on a manifold with connection:
     the plain curl plus the torsion contraction (G^s_{ba} - G^s_{ab}) a_s.
-    Equals the antisymmetrized covariant derivative a_{b;a} - a_{a;b}."""
-    nabla = covariant_deriv(a, c)
-    n = a.chart.dim
-    return [[nabla[b][al] - nabla[al][b] for b in range(n)] for al in range(n)]
+    Equals the antisymmetrized covariant derivative a_{b;a} - a_{a;b}; read
+    off evo_d(a, c)."""
+    if a.degree != 1:
+        raise FormError(f"covariant_deriv expects a 1-form, got degree {a.degree}")
+    return _antisymmetric_matrix(evo_d(a, c))
 
 
 def _dense_coefficient(a, idx):
     """Coefficient of the antisymmetric extension of a's term map at an
     arbitrary index tuple (sign from sorting; zero on repeats)."""
-    if len(set(idx)) != len(idx):
-        return ZERO
-    order = sorted(range(len(idx)), key=lambda k: idx[k])
-    inversions = sum(
-        1 for i in range(len(order)) for j in range(i + 1, len(order)) if order[i] > order[j]
-    )
-    coeff = a.terms.get(tuple(sorted(idx)))
-    if coeff is None:
-        return ZERO
-    return -coeff if inversions % 2 else coeff
+    sign, merged = 1, ()
+    for i in idx:
+        s, merged = _merge_indices(merged, (i,))
+        if s == 0:
+            return ZERO
+        sign *= s
+    coeff = a.terms.get(merged, ZERO)
+    return coeff if sign > 0 else -coeff
 
 
 def _covariant_component(a, c, idx, al):

@@ -14,7 +14,6 @@ expressions whose vanishing enables such degenerate transformations
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .symexpr import Expr, ExprError, PoleError, ZERO, all_zero, compile_numeric, zero_test
 from .exterior import (
@@ -24,9 +23,10 @@ from .exterior import (
     NotClosedError,
     ext_d,
     homotopy_antiderivative,
+    is_closed,
     wedge,
 )
-from .duality import Metric, _inertia, det_expr, hodge_star
+from .duality import Metric, _inertia, _sampled_matrices, det_expr, hodge_star
 
 
 class RelationError(ExprError):
@@ -72,12 +72,7 @@ class Pseudostructure:
         )
         rng = random.Random(f"skewform-rank:{seed}:{[str(self.mapping[v]) for v in self.ambient.variables]}")
         best = 0
-        for _ in range(16):
-            point = {v: Fraction(rng.randint(-4000, 4000), 1000) for v in names}
-            try:
-                mat = [[e.eval(point) for e in row] for row in jac]
-            except ExprError:
-                continue
+        for mat in _sampled_matrices(jac, names, rng, -4000, 4000, 16):
             # rank J = rank of the Gram matrix J^T J
             gram = [[sum(r[a] * r[b] for r in mat) for b in range(m)] for a in range(m)]
             rank = sum(_inertia(gram))
@@ -153,12 +148,12 @@ def dual_closure_on(a, g, s, order="ambient_then_pullback", seed=0):
     either in the ambient metric before pulling back (default) or in the
     induced parameter metric after."""
     if order == "ambient_then_pullback":
-        d = interior_d(hodge_star(a, g), s)
+        dual = pullback(hodge_star(a, g), s)
     elif order == "pullback_then_induced":
-        d = ext_d(hodge_star(pullback(a, s), induced_metric(g, s)))
+        dual = hodge_star(pullback(a, s), induced_metric(g, s))
     else:
         raise ValueError(f"unknown order {order!r}")
-    return all_zero(d.terms.values(), seed).value
+    return is_closed(dual, seed)
 
 
 class Relation:
@@ -216,6 +211,11 @@ def classify(r, seed=0):
     """IDENTICAL when omega - d(psi) vanishes coefficientwise; otherwise
     CLOSED_RHS when d(omega) = 0; otherwise NONIDENTICAL with d(omega)
     attached as the commutator form."""
+    return _classify(r, seed)[0]
+
+
+def _classify(r, seed):
+    """The verdict and the zero decision on d(omega)."""
     residual = r.omega - ext_d(r.psi)
     commutator = ext_d(r.omega)
     res_zero = all_zero(residual.terms.values(), seed)
@@ -227,7 +227,7 @@ def classify(r, seed=0):
     else:
         classification = NONIDENTICAL
     probabilistic = res_zero.probabilistic or com_zero.probabilistic
-    return Verdict(classification, residual, commutator, probabilistic)
+    return Verdict(classification, residual, commutator, probabilistic), com_zero
 
 
 def classify_on(r, s, seed=0):
@@ -236,10 +236,9 @@ def classify_on(r, s, seed=0):
     transformation success condition)."""
     psi_pi = pullback(r.psi, s)
     omega_pi = pullback(r.omega, s)
-    verdict = classify(Relation(psi_pi, omega_pi), seed=seed)
-    closure = all_zero(ext_d(omega_pi).terms.values(), seed)
+    # classify's commutator decision is the closure test of omega_pi
+    verdict, closure = _classify(Relation(psi_pi, omega_pi), seed)
     verdict.pi_closure = closure.value
-    verdict.probabilistic = verdict.probabilistic or closure.probabilistic
     return verdict
 
 
@@ -276,14 +275,14 @@ def integrate_chain(r, s, max_steps=8, seed=0):
         return []
     psi = pullback(r.psi, s)
     omega = pullback(r.omega, s)
-    if not all_zero(ext_d(omega).terms.values(), seed):
+    if not is_closed(omega, seed):
         raise NotClosedError(
             "restricted right side is not closed; the degenerate transformation is not realized"
         )
     steps = []
     while len(steps) < max_steps:
         theta = homotopy_antiderivative(omega, seed=seed)
-        diff_closed = all_zero(ext_d(psi - theta).terms.values(), seed).value
+        diff_closed = is_closed(psi - theta, seed)
         steps.append(ChainStep(psi, theta, diff_closed))
         if theta.degree == 0:
             break

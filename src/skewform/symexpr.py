@@ -1363,7 +1363,8 @@ def zero_test(e, seed=0, samples=ZERO_TEST_SAMPLES, tol=ZERO_TEST_TOL):
     Exact via the canonical form when e is purely rational; with elementary
     functions present, falls back to seeded sampling at random points
     k / 1000 in [-10, 10], one seeded integer k per variable.  A sample at
-    a pole or with an overflowing float is drawn again, at most 8 times.
+    a pole, with an overflowing float or with a non-finite value is drawn
+    again, at most 8 times.
     """
     if e.num.is_zero():
         return ZeroDecision(True, False)
@@ -1381,9 +1382,10 @@ def zero_test(e, seed=0, samples=ZERO_TEST_SAMPLES, tol=ZERO_TEST_TOL):
             except PoleError:
                 continue
             except OverflowError:
-                overflowed = True
-                continue
-            break
+                val = math.inf
+            if math.isfinite(val):
+                break
+            overflowed = True  # inf - inf is nan, and abs(nan) >= tol is false
         else:
             away = "poles or float overflow" if overflowed else "poles"
             raise ZeroTestError(f"could not sample {e} away from {away}")
@@ -1507,6 +1509,11 @@ def _poly_text(p):
         else:
             body = f"{abs(c)}*{mono}"
         pieces.append(("-" if c < 0 else "+", body))
+    return _join_signed(pieces)
+
+
+def _join_signed(pieces):
+    """`a - b + c` from the (sign, body) pairs ("+", "a"), ("-", "b"), ("+", "c")."""
     sign, body = pieces[0]
     out = body if sign == "+" else f"-{body}"
     for sign, body in pieces[1:]:

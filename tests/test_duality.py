@@ -5,11 +5,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from skewform.symexpr import ONE, ZERO, Expr, parse_expr
+from skewform.symexpr import ONE, ZERO, Expr, ExprError, parse_expr
 from skewform.exterior import Chart, DiffForm, ext_d, parse_form, wedge
 from skewform.duality import (
     Metric,
     _inertia,
+    _sampled_matrices,
     MetricError,
     christoffel,
     codifferential,
@@ -329,6 +330,50 @@ class TestInertia:
         assert _inertia([[1e-20, 0.0], [0.0, -1e-20]]) == (1, 1)
         assert _inertia([[0.0, 1e-30], [1e-30, 0.0]]) == (1, 1)
         assert _inertia([[0.0, 0.0], [0.0, 0.0]]) == (0, 0)
+
+
+def _oracle_sampled_matrices(rows, names, rng, lo, hi, tries):
+    """Per try, `Expr.eval` of every entry at the Fraction point, or None
+    where some entry has a pole there."""
+    for _ in range(tries):
+        point = {v: Fraction(rng.randint(lo, hi), 1000) for v in names}
+        try:
+            yield [[e.eval(point) for e in row] for row in rows]
+        except ExprError:
+            yield None
+
+
+class TestSampledMatrices:
+    ROWS = [
+        ["1/sin(u)", "u*v/3 - 1", "exp(v) + u"],
+        ["2", "ln(u)", "u^2/(v - 1)"],
+        ["0", "cos(u*v)^2", "v"],
+    ]
+
+    def test_matches_eval_at_fraction_points(self):
+        rows = [[parse_expr(t) for t in row] for row in self.ROWS]
+        names = ["u", "v", "w"]  # w is in no entry, as when a param drops out of the Jacobian
+        for lo, hi, tries in ((-2000, 2000, 64), (-2, 2, 40), (1, 4000, 16)):
+            oracle = list(_oracle_sampled_matrices(rows, names, random.Random(f"s{lo}"), lo, hi, tries))
+            rng = random.Random(f"s{lo}")
+            got = list(_sampled_matrices(rows, names, rng, lo, hi, tries))
+            want = [m for m in oracle if m is not None]
+            assert [[[(type(v), repr(v)) for v in r] for r in m] for m in got] == [
+                [[(type(v), repr(v)) for v in r] for r in m] for m in want
+            ]
+            # the same points were drawn: the rng streams end in the same state
+            oracle_rng = random.Random(f"s{lo}")
+            for _ in range(tries * len(names)):
+                oracle_rng.randint(lo, hi)
+            assert rng.random() == oracle_rng.random()
+            if lo < 0:  # ln(u) and 1/sin(u) have poles at u <= 0
+                assert 0 < len(want) < tries
+
+    def test_atom_free_entries_stay_exact(self):
+        rows = [[parse_expr("u/3"), parse_expr("1/(u - 1)")], [ONE, ZERO]]
+        mats = list(_sampled_matrices(rows, ["u"], random.Random(0), 999, 1001, 30))
+        assert mats and all(isinstance(v, Fraction) for m in mats for r in m for v in r)
+        assert len(mats) < 30  # u = 1 is a pole of 1/(u - 1)
 
 
 class TestDeterminantHelpers:

@@ -1,5 +1,6 @@
 """End-to-end guards: the committed session corpora keep their report bytes,
-the demos run, and the package neither loads nor needs numpy."""
+the demos run and print their pinned output, and the package neither loads
+nor needs numpy."""
 
 import os
 import subprocess
@@ -58,6 +59,14 @@ def test_golden_scan_report_bytes(name, monkeypatch, capsys):
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_output_bytes(demo):
+    """Each demo is deterministic; its stdout is pinned in tests/data/demo_<name>.out."""
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "data" / f"demo_{demo.stem}.out").read_text()
 
 
 # a meta-path finder that makes every `import numpy` fail

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skewform.symexpr import Expr, parse_expr
-from skewform.exterior import Chart, ChartError, DiffForm, ext_d, parse_form, commutator1
+from skewform.symexpr import ZERO, Expr, parse_expr, sin
+from skewform.exterior import Chart, ChartError, DiffForm, FormError, ext_d, parse_form, commutator1
 from skewform.manifold import (
     Connection,
     TorsionError,
@@ -15,8 +15,9 @@ from skewform.manifold import (
     evo_d,
     riemann,
     torsion,
+    _dense_coefficient,
 )
-from conftest import random_form, random_symmetric_connection, random_connection
+from conftest import random_form, random_poly, random_symmetric_connection, random_connection
 
 ch2 = Chart(["x", "y"])
 ch3 = Chart(["x", "y", "z"])
@@ -97,6 +98,100 @@ class TestEvoCommutator:
             for al in range(2):
                 for b in range(2):
                     assert K[al][b] == m[b][al] - m[al][b]
+
+
+def _oracle_commutator1(a):
+    """commutator1 as an explicit derivative loop, kept as the oracle."""
+    chart = a.chart
+    comps = [a.coefficient((i,)) for i in range(chart.dim)]
+    K = [[ZERO] * chart.dim for _ in range(chart.dim)]
+    for i in range(chart.dim):
+        for j in range(chart.dim):
+            if i == j:
+                continue
+            K[i][j] = comps[j].diff(chart.variables[i]) - comps[i].diff(chart.variables[j])
+    return K
+
+
+def _oracle_evo_commutator(a, c):
+    """evo_commutator as the antisymmetrized covariant derivative, kept as the oracle."""
+    nabla = covariant_deriv(a, c)
+    n = a.chart.dim
+    return [[nabla[b][al] - nabla[al][b] for b in range(n)] for al in range(n)]
+
+
+def _oracle_dense_coefficient(a, idx):
+    """_dense_coefficient by counting the inversions of the sorting permutation."""
+    if len(set(idx)) != len(idx):
+        return ZERO
+    order = sorted(range(len(idx)), key=lambda k: idx[k])
+    inversions = sum(
+        1 for i in range(len(order)) for j in range(i + 1, len(order)) if order[i] > order[j]
+    )
+    coeff = a.terms.get(tuple(sorted(idx)))
+    if coeff is None:
+        return ZERO
+    return -coeff if inversions % 2 else coeff
+
+
+def _rational_form(rng, chart, degree):
+    """A random form whose coefficients have atoms and denominators, so the
+    canonical text of a commutator entry is not a plain polynomial."""
+    a = random_form(rng, chart, degree, max_total_deg=2)
+    last = Expr.var(chart.variables[-1])
+    extra = sin(random_poly(rng, chart.variables, max_terms=2, max_total_deg=2)) / (last ** 2 + rng.randint(1, 5))
+    return a + random_form(rng, chart, degree, density=0.5, max_total_deg=1).scale(extra)
+
+
+class TestCommutatorsReadOffD:
+    """commutator1 and evo_commutator read K off ext_d and evo_d: the same
+    matrices, by == and by text, as the explicit formulas."""
+
+    CHARTS = [Chart(["x", "y"]), Chart(["x", "y", "z"]), Chart(["x", "y", "z", "w"])]
+
+    def cases(self, seed, count):
+        rng = random.Random(seed)
+        for k in range(count):
+            chart = self.CHARTS[k % 3]
+            a = _rational_form(rng, chart, 1)
+            if k % 2:
+                c = random_symmetric_connection(rng, chart, max_terms=2, max_total_deg=1)
+            else:
+                c = random_connection(rng, chart, max_terms=2, max_total_deg=1)
+            yield a, c
+
+    @staticmethod
+    def assert_same(K, want):
+        assert K == want
+        assert [[str(e) for e in row] for row in K] == [[str(e) for e in row] for row in want]
+
+    def test_commutator1_matches_derivative_loop(self):
+        for a, _ in self.cases(44, 30):
+            self.assert_same(commutator1(a), _oracle_commutator1(a))
+
+    def test_evo_commutator_matches_covariant_antisymmetrization(self):
+        for a, c in self.cases(45, 30):
+            self.assert_same(evo_commutator(a, c), _oracle_evo_commutator(a, c))
+
+    def test_degree_and_chart_guards(self):
+        a2 = parse_form("x*d[x]^d[y]", ch2)
+        with pytest.raises(FormError, match=r"^commutator of a degree-2 form \(expected degree 1\)$"):
+            commutator1(a2)
+        with pytest.raises(FormError, match=r"^covariant_deriv expects a 1-form, got degree 2$"):
+            evo_commutator(a2, Connection.zero(ch2))
+        with pytest.raises(FormError, match=r"^covariant_deriv expects a 1-form, got degree 0$"):
+            evo_commutator(DiffForm.scalar(ch2, Expr.var("x")), Connection.zero(ch2))
+        with pytest.raises(ChartError, match=r"^chart mismatch"):
+            evo_commutator(parse_form("y*d[x]", ch2), Connection.zero(ch3))
+
+    def test_dense_coefficient_sign_matches_inversion_count(self):
+        rng = random.Random(46)
+        ch4 = self.CHARTS[2]
+        for p in range(1, 5):
+            a = random_form(rng, ch4, p, max_total_deg=2)
+            for _ in range(40):
+                idx = tuple(rng.randrange(4) for _ in range(p))
+                assert _dense_coefficient(a, idx) == _oracle_dense_coefficient(a, idx)
 
 
 class TestEvoD:

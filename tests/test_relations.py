@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from skewform.symexpr import Expr, parse_expr
+from skewform import relations
+from skewform.symexpr import Expr, all_zero, parse_expr
 from skewform.exterior import (
     Chart,
     ChartError,
@@ -232,6 +233,33 @@ class TestClassifyOn:
         v = classify_on(Relation(DiffForm.zero(chart, 0), omega), s)
         assert v.classification == NONIDENTICAL
         assert v.pi_closure is False
+
+    @pytest.mark.parametrize(
+        "omega_text, mapping",
+        [
+            ("-y*d[x] + x*d[y]", {"x": "u", "y": "v", "z": "u + v"}),
+            ("sin(z)*d[x] + x*d[y]", {"x": "u*v", "y": "v", "z": "u"}),
+            ("y*d[x] + x*d[y] + exp(z)*d[z]", {"x": "u", "y": "v^2", "z": "u - v"}),
+        ],
+    )
+    def test_closure_of_omega_pi_tested_once(self, monkeypatch, omega_text, mapping):
+        chart = Chart(["x", "y", "z"])
+        s = Pseudostructure(chart, par2, {k: parse_expr(v) for k, v in mapping.items()})
+        r = Relation(DiffForm.zero(chart, 0), parse_form(omega_text, chart))
+        d_omega_pi = list(ext_d(pullback(r.omega, s)).terms.values())
+        tested = []
+
+        def recording_all_zero(exprs, seed=0):
+            exprs = list(exprs)
+            tested.append(exprs)
+            return all_zero(exprs, seed)
+
+        monkeypatch.setattr(relations, "all_zero", recording_all_zero)
+        v = classify_on(r, s, seed=3)
+        assert sum(1 for exprs in tested if exprs == d_omega_pi) == 1
+        closure = all_zero(d_omega_pi, 3)
+        assert v.pi_closure is closure.value
+        assert v.probabilistic == (all_zero(list(v.residual.terms.values()), 3).probabilistic or closure.probabilistic)
 
 
 class TestIntegrateChain:

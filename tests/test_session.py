@@ -336,6 +336,17 @@ class TestCli:
         assert proc.returncode == 0 and proc.stderr == ""
         assert "(identically zero: False, 0 locus samples)" in proc.stdout
 
+    def test_check_scan_with_non_finite_samples(self, tmp_path):
+        # every zero-test sample of 2A*sin(x)^2, A = exp(x^2+200)^2*exp(y^2+200)^2, is
+        # nan: the scan fails with the zero test's diagnostic, not "identically zero: True"
+        A = "exp(x^2+200)^2*exp(y^2+200)^2"
+        f = tmp_path / "nan.sf"
+        f.write_text(f"chart x y\nscan determinant [{A}*(sin(x)^2 + 1) - {A}*cos(x)^2]\n")
+        proc = run_cli("check", str(f), "--seed", "0")
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert "identically zero" not in proc.stdout
+        assert "away from poles or float overflow" in proc.stdout
+
     @pytest.mark.parametrize("tail, count", [("steps", "''"), ("steps x", "'x'")])
     def test_chain_bad_steps_count(self, tmp_path, tail, count):
         f = tmp_path / "chain.sf"

@@ -257,6 +257,15 @@ class TestZeroTest:
         with pytest.raises(ZeroTestError, match=r"away from poles or float overflow$"):
             zero_test(exp(x ** 2 + 700) ** 2 - sin(x))
 
+    def test_non_finite_samples_are_drawn_again(self):
+        # A*(sin^2 + 1) - A*cos^2 = 2A*sin(x)^2 is not zero, but A overflows to
+        # inf at every sample point, and inf - inf is nan
+        A = "exp(x^2+200)^2*exp(y^2+200)^2"
+        e = parse_expr(f"{A}*(sin(x)^2 + 1) - {A}*cos(x)^2")
+        assert math.isnan(compile_numeric(e, ["x", "y"])([1.0, 1.0]))
+        with pytest.raises(ZeroTestError, match=r"away from poles or float overflow$"):
+            zero_test(e)
+
 
 class TestAllZero:
     def test_exact_nonzero_first_stops_exact(self):
