@@ -311,23 +311,22 @@ def _laplace_combination(a, g, sign):
 
 def christoffel(g):
     """Levi-Civita connection of a metric (test-fixture helper):
-    G^k_{ij} = (1/2) g^{kl} (dg_{lj}/dx^i + dg_{il}/dx^j - dg_{ij}/dx^l)."""
+    G^k_{ij} = (1/2) g^{kl} (dg_{lj}/dx^i + dg_{il}/dx^j - dg_{ij}/dx^l).
+    Each derivative dg_{ab}/dx^c of the symmetric g is taken once, for
+    a <= b; the bracket is formed once per (l, i <= j), and G^k_{ji} = G^k_{ij}."""
     chart = g.chart
     n = chart.dim
     half = Expr.const(Fraction(1, 2))
+    dg = {(a, b): [g.rows[a][b].diff(v) for v in chart.variables] for a in range(n) for b in range(a, n)}
+
+    def d(a, b, c):
+        return dg[(a, b) if a <= b else (b, a)][c]
+
     gamma = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                val = ZERO
-                for l in range(n):
-                    if g.inverse[k][l].is_zero_struct():
-                        continue
-                    piece = (
-                        g.rows[l][j].diff(chart.variables[i])
-                        + g.rows[i][l].diff(chart.variables[j])
-                        - g.rows[i][j].diff(chart.variables[l])
-                    )
-                    val = val + g.inverse[k][l] * piece
-                gamma[k][i][j] = half * val
+    for i in range(n):
+        for j in range(i, n):
+            first = [d(l, j, i) + d(i, l, j) - d(i, j, l) for l in range(n)]
+            for k in range(n):
+                val = sum((g.inverse[k][l] * first[l] for l in range(n)), ZERO)
+                gamma[k][i][j] = gamma[k][j][i] = half * val
     return Connection(chart, gamma)

@@ -302,13 +302,23 @@ def homotopy_antiderivative(a, base=None, seed=0):
     auxiliary parameter, so the result is again polynomial; d of the result
     is verified against the input before returning.
     """
-    p = a.degree
-    if p < 1:
+    _require_antiderivable(a)
+    if not is_closed(a, seed=seed):
+        raise NotClosedError(f"form is not closed: {a}")
+    return _radial_antiderivative(a, base)
+
+
+def _require_antiderivable(a):
+    if a.degree < 1:
         raise FormError("antiderivatives exist only for degree >= 1")
     if not a.is_polynomial():
         raise FormError("homotopy antiderivative needs polynomial coefficients")
-    if not is_closed(a, seed=seed):
-        raise NotClosedError(f"form is not closed: {a}")
+
+
+def _radial_antiderivative(a, base=None):
+    """`homotopy_antiderivative` of a polynomial form of degree >= 1 that
+    is known to be closed."""
+    p = a.degree
     chart = a.chart
     if base is None:
         base = [Fraction(0)] * chart.dim

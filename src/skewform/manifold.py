@@ -11,7 +11,7 @@ exterior derivative.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 from .symexpr import Expr, ZERO, all_zero, parse_expr
 from .exterior import Chart, ChartError, DiffForm, FormError, _antisymmetric_matrix, _merge_indices, ext_d
@@ -172,36 +172,42 @@ def evo_d(a, c):
 
 def riemann(c):
     """Curvature R[r][s][m][n] = R^r_{smn} of the connection:
-    dG^r_{ns}/dx^m - dG^r_{ms}/dx^n + G^r_{ml} G^l_{ns} - G^r_{nl} G^l_{ms}."""
+    dG^r_{ns}/dx^m - dG^r_{ms}/dx^n + G^r_{ml} G^l_{ns} - G^r_{nl} G^l_{ms}.
+    It is antisymmetric in m, n for any connection, so each pair m < n is
+    computed once and R^r_{snm} = -R^r_{smn}."""
     chart = c.chart
     n = chart.dim
     out = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for r in range(n):
         for s in range(n):
-            for mu in range(n):
-                for nu in range(n):
-                    if mu == nu:
-                        continue
-                    val = c.gamma[r][nu][s].diff(chart.variables[mu]) - c.gamma[r][mu][s].diff(
-                        chart.variables[nu]
-                    )
-                    for lam in range(n):
-                        t1 = c.gamma[r][mu][lam] * c.gamma[lam][nu][s]
-                        t2 = c.gamma[r][nu][lam] * c.gamma[lam][mu][s]
-                        val = val + t1 - t2
-                    out[r][s][mu][nu] = val
+            for mu, nu in combinations(range(n), 2):
+                val = c.gamma[r][nu][s].diff(chart.variables[mu]) - c.gamma[r][mu][s].diff(
+                    chart.variables[nu]
+                )
+                for lam in range(n):
+                    t1 = c.gamma[r][mu][lam] * c.gamma[lam][nu][s]
+                    t2 = c.gamma[r][nu][lam] * c.gamma[lam][mu][s]
+                    val = val + t1 - t2
+                out[r][s][mu][nu] = val
+                out[r][s][nu][mu] = -val
     return out
 
 
 def bianchi_first_check(c, seed=0):
     """First Bianchi identity: the cyclic sum of R^r over its three lower
     indices vanishes.  Requires a torsion-free connection; a torsionful
-    input is a precondition violation, not a failed identity."""
+    input is a precondition violation, not a failed identity.
+
+    By R's antisymmetry in its last two indices the cyclic sum is
+    antisymmetric in all three: it vanishes on a repeated index, and any
+    order of distinct indices gives +-the sum on the increasing order, which
+    is the only one tested."""
     if not c.is_symmetric():
         raise TorsionError("first Bianchi check requires a symmetric (torsion-free) connection")
     R = riemann(c)
     cyclic = (
         R[r][s][mu][nu] + R[r][mu][nu][s] + R[r][nu][s][mu]
-        for r, s, mu, nu in product(range(c.chart.dim), repeat=4)
+        for r in range(c.chart.dim)
+        for s, mu, nu in combinations(range(c.chart.dim), 3)
     )
     return all_zero(cyclic, seed).value

@@ -801,7 +801,7 @@ class Expr:
             return other
         if self.den.is_const() and other.den.is_const():
             return _polynomial_expr(self.num + other.num)
-        return Expr.make(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _fraction_sum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -815,7 +815,7 @@ class Expr:
             return -other
         if self.den.is_const() and other.den.is_const():
             return _polynomial_expr(self.num - other.num)
-        return Expr.make(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _fraction_sum(self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other):
         other = Expr._coerce(other)
@@ -834,7 +834,9 @@ class Expr:
             return self._scaled(other.num)
         if self.is_rational_constant():
             return other._scaled(self.num)
-        return Expr.make(self.num * other.num, self.den * other.den)
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return Expr(a * c, b * d, _canonical=True)
 
     def _scaled(self, c):
         """self times the constant Poly c (1, 0 or any other rational)."""
@@ -845,13 +847,19 @@ class Expr:
 
     __rmul__ = __mul__
 
+    def _reciprocal(self):
+        """den/num, divided through by the leading coefficient of num."""
+        _, lc = self.num.leading()
+        q = 1 / lc
+        return Expr(self.den.scale(q), self.num.scale(q), _canonical=True)
+
     def __truediv__(self, other):
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero expression")
-        return Expr.make(self.num * other.den, self.den * other.num)
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other):
         other = Expr._coerce(other)
@@ -867,8 +875,9 @@ class Expr:
         if n < 0:
             if self.num.is_zero():
                 raise ZeroDivisionError("zero to a negative power")
-            return Expr.make(self.den ** (-n), self.num ** (-n))
-        return Expr.make(self.num ** n, self.den ** n)
+            return self._reciprocal() ** -n
+        # powers of coprime polynomials are coprime, and of a monic one monic
+        return Expr(self.num ** n, self.den ** n, _canonical=True)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -932,6 +941,35 @@ ONE = Expr(_POLY_ONE, _POLY_ONE, _canonical=True)
 def _polynomial_expr(num):
     """Expr.make(num) for a Poly num: canonical as it stands."""
     return Expr(num, _POLY_ONE, _canonical=True) if num.terms else ZERO
+
+
+# Rational arithmetic after Henrici (1956): the operands are canonical, so
+# only gcds of their parts are needed, never the gcd of a full cross product.
+
+
+def _cancel(p, q):
+    """(p/g, q/g) for g = gcd(p, q); a constant p or q takes no gcd."""
+    if p.is_const() or q.is_const():
+        return p, q
+    g = poly_gcd(p, q)
+    if g.is_const():
+        return p, q
+    return _poly_divexact(p, g), _poly_divexact(q, g)
+
+
+def _fraction_sum(a, b, c, d):
+    """a/b + c/d in canonical form for canonical a/b and c/d.  With
+    g = gcd(b, d) the sum is t / ((b/g) d) for t = a (d/g) + c (b/g), and t
+    can share a factor with g only: gcd(t, b/g) = gcd(t, d/g) = 1."""
+    if b.is_const() or d.is_const() or (g := poly_gcd(b, d)).is_const():
+        t = a * d + c * b
+        return Expr(t, b * d, _canonical=True) if t.terms else ZERO
+    b1, d1 = _poly_divexact(b, g), _poly_divexact(d, g)
+    t = a * d1 + c * b1
+    if not t.terms:
+        return ZERO
+    t, rest = _cancel(t, g)  # rest = g / gcd(t, g), g itself when that gcd is 1
+    return Expr(t, b1 * d if rest is g else b1 * d1 * rest, _canonical=True)
 
 
 def _make_atom_expr(fn, arg):

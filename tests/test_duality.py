@@ -316,6 +316,66 @@ class TestChristoffel:
         )
 
 
+def _oracle_christoffel(g):
+    """christoffel entry by entry, each metric derivative taken where it is
+    used, kept as the oracle."""
+    chart = g.chart
+    n = chart.dim
+    half = Expr.const(Fraction(1, 2))
+    gamma = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                val = ZERO
+                for l in range(n):
+                    if g.inverse[k][l].is_zero_struct():
+                        continue
+                    piece = (
+                        g.rows[l][j].diff(chart.variables[i])
+                        + g.rows[i][l].diff(chart.variables[j])
+                        - g.rows[i][j].diff(chart.variables[l])
+                    )
+                    val = val + g.inverse[k][l] * piece
+                gamma[k][i][j] = half * val
+    return gamma
+
+
+def _curved_metric(rng, chart):
+    """g = J^T D J for a sparse J of linear entries with a non-constant
+    det and D = diag(1, ..., 1, (x_1 + c)^2): a perfect-square det g, a
+    rational inverse and, in general, nonzero curvature."""
+    n = chart.dim
+    v = [Expr.var(name) for name in chart.variables]
+    J = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        J[i][i] = Expr.const(rng.choice([1, 2, -1]))
+        J[i][(i + 1) % n] = v[i] * rng.choice([1, -1, 2]) + rng.randint(-2, 2)
+    D = [ONE] * (n - 1) + [(v[0] + rng.randint(1, 3)) ** 2]
+    rows = [[sum((J[k][i] * D[k] * J[k][j] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
+    return Metric(chart, rows)
+
+
+class TestChristoffelSymmetry:
+    """christoffel takes each dg_ab/dx^c once and fills G^k_ji from G^k_ij:
+    the same connection, by == and by text, as the entry-by-entry formula."""
+
+    def test_matches_entrywise_formula(self):
+        rng = random.Random(141)
+        for n in (2, 3, 4):
+            chart = Chart(["x", "y", "z", "w"][:n])
+            for _ in range(2 if n < 4 else 1):
+                g = _curved_metric(rng, chart)
+                got, want = christoffel(g).gamma, _oracle_christoffel(g)
+                assert [list(map(list, plane)) for plane in got] == want
+                assert str(got) == str(tuple(tuple(tuple(row) for row in plane) for plane in want))
+
+    def test_curvature_of_the_test_metrics_is_nonzero(self):
+        # so that the oracle above compares non-flat connections
+        g = _curved_metric(random.Random(141), Chart(["x", "y"]))
+        R = riemann(christoffel(g))
+        assert any(not e.is_zero_struct() for a in R for b in a for c in b for e in c)
+
+
 class TestInertia:
     def test_exact_for_rationals(self):
         near = [[1, 1], [1, 1 + Fraction(1, 10 ** 12)]]

@@ -198,6 +198,13 @@ class TestHomotopy:
         with pytest.raises(FormError):
             homotopy_antiderivative(a)
 
+    def test_error_order_degree_polynomial_closure(self):
+        with pytest.raises(FormError, match=r"^antiderivatives exist only for degree >= 1$"):
+            homotopy_antiderivative(DiffForm.scalar(ch2, 1 / (x + 5)))
+        not_closed = DiffForm(ch2, 1, {(0,): y / (x + 5)})
+        with pytest.raises(FormError, match=r"^homotopy antiderivative needs polynomial coefficients$"):
+            homotopy_antiderivative(not_closed)
+
     def test_inverse_randomized(self):
         rng = random.Random(29)
         for _ in range(40):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from skewform.symexpr import ZERO, Expr, parse_expr, sin
+from skewform import manifold
+from skewform.symexpr import ZERO, Expr, all_zero, parse_expr, sin
 from skewform.exterior import Chart, ChartError, DiffForm, FormError, ext_d, parse_form, commutator1
 from skewform.manifold import (
     Connection,
@@ -366,6 +368,89 @@ class TestBianchi:
         _, c = torsion_fixture()
         with pytest.raises(TorsionError):
             bianchi_first_check(c)
+
+
+def _oracle_riemann(c):
+    """riemann with every (mu, nu) computed, kept as the oracle."""
+    chart = c.chart
+    n = chart.dim
+    out = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for r in range(n):
+        for s in range(n):
+            for mu in range(n):
+                for nu in range(n):
+                    if mu == nu:
+                        continue
+                    val = c.gamma[r][nu][s].diff(chart.variables[mu]) - c.gamma[r][mu][s].diff(
+                        chart.variables[nu]
+                    )
+                    for lam in range(n):
+                        t1 = c.gamma[r][mu][lam] * c.gamma[lam][nu][s]
+                        t2 = c.gamma[r][nu][lam] * c.gamma[lam][mu][s]
+                        val = val + t1 - t2
+                    out[r][s][mu][nu] = val
+    return out
+
+
+def _oracle_bianchi_sums(c):
+    """Every cyclic sum, over all index orders."""
+    R = _oracle_riemann(c)
+    return [
+        R[r][s][mu][nu] + R[r][mu][nu][s] + R[r][nu][s][mu]
+        for r, s, mu, nu in product(range(c.chart.dim), repeat=4)
+    ]
+
+
+def _rational_connection(rng, chart, symmetric):
+    """A connection whose entries have atoms and denominators."""
+    n = chart.dim
+    c = (random_symmetric_connection if symmetric else random_connection)(rng, chart, max_terms=2, max_total_deg=1)
+    gamma = [[list(row) for row in plane] for plane in c.gamma]
+    last = Expr.var(chart.variables[-1])
+    s, a, b = (rng.randrange(n) for _ in range(3))
+    extra = sin(Expr.var(chart.variables[0])) / (last ** 2 + rng.randint(1, 5))
+    gamma[s][a][b] = gamma[s][a][b] + extra
+    if symmetric:
+        gamma[s][b][a] = gamma[s][a][b]
+    return Connection(chart, gamma)
+
+
+class TestCurvatureSymmetries:
+    """riemann computes each m < n once and negates it for n > m, and
+    bianchi_first_check tests increasing triples only: the same tensor, by
+    == and by text, as every (m, n) computed, and the same verdict."""
+
+    CHARTS = TestCommutatorsReadOffD.CHARTS
+
+    def cases(self, seed, count):
+        rng = random.Random(seed)
+        for k in range(count):
+            yield _rational_connection(rng, self.CHARTS[k % 3], symmetric=k % 2 == 1)
+
+    def test_riemann_matches_every_pair_computed(self):
+        for c in self.cases(142, 12):
+            got, want = riemann(c), _oracle_riemann(c)
+            assert got == want
+            assert str(got) == str(want)
+
+    def test_bianchi_matches_every_cyclic_sum(self):
+        for c in self.cases(143, 6):
+            if c.is_symmetric():
+                assert bianchi_first_check(c) is all_zero(_oracle_bianchi_sums(c)).value is True
+
+    def test_bianchi_sees_one_failing_increasing_triple(self, monkeypatch):
+        rng = random.Random(144)
+        ch4 = self.CHARTS[2]
+        c = random_symmetric_connection(rng, ch4, max_terms=2, max_total_deg=1)
+        for r, (s, mu, nu) in [(0, (0, 1, 2)), (3, (0, 2, 3)), (3, (1, 2, 3))]:
+            R = riemann(c)
+            # antisymmetric in (mu, nu) still, but the cyclic sum on (s, mu, nu) is x
+            R[r][s][mu][nu] = R[r][s][mu][nu] + Expr.var("x")
+            R[r][s][nu][mu] = R[r][s][nu][mu] - Expr.var("x")
+            monkeypatch.setattr(manifold, "riemann", lambda _c, R=R: R)
+            assert bianchi_first_check(c) is False
+        monkeypatch.setattr(manifold, "riemann", riemann)
+        assert bianchi_first_check(c) is True
 
 
 class TestConnectionConstruction:

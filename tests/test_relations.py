@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from skewform import relations
+from skewform import exterior, relations
 from skewform.symexpr import Expr, all_zero, parse_expr
 from skewform.exterior import (
     Chart,
     ChartError,
     DiffForm,
+    FormError,
     NotClosedError,
     ext_d,
     form_to_text,
@@ -50,6 +51,19 @@ def poincare_setup():
         {"t": Expr.var("u"), "q": Expr.var("c") * Expr.var("u"), "p": Expr.var("c")},
     )
     return relation, traj
+
+
+def _two_degree_setup():
+    chart = Chart(["x", "y", "z", "w"])
+    params = Chart(["u", "v", "s"])
+    psi = random_form(random.Random(77), chart, 1, max_total_deg=2)
+    mapping = {
+        "x": Expr.var("u"),
+        "y": Expr.var("v"),
+        "z": Expr.var("s"),
+        "w": Expr.var("u") * Expr.var("v"),
+    }
+    return Relation(psi, ext_d(psi)), Pseudostructure(chart, params, mapping)
 
 
 def random_pseudo(rng, ambient, params):
@@ -271,6 +285,29 @@ class TestIntegrateChain:
         assert steps[0].right.as_scalar() == parse_expr("c^2*u/2")
         assert ext_d(steps[0].right) == pullback(relation.omega, traj)
 
+    @pytest.mark.parametrize("setup", [poincare_setup, _two_degree_setup])
+    def test_each_right_side_tested_closed_once(self, monkeypatch, setup):
+        relation, s = setup()
+        real_is_closed = relations.is_closed
+        seen = []
+
+        def counting_is_closed(form, seed=0):
+            seen.append(form_to_text(form))
+            return real_is_closed(form, seed)
+
+        monkeypatch.setattr(relations, "is_closed", counting_is_closed)
+        monkeypatch.setattr(exterior, "is_closed", counting_is_closed)
+        steps = integrate_chain(relation, s)
+        assert len(seen) == len(set(seen)) == len(steps) + 1  # the entry form and each difference
+        if setup is poincare_setup:
+            assert seen[0] == "1/2*c^2 * d[u] + c*u * d[c]"
+
+    def test_nonpolynomial_restriction_raises(self):
+        omega = parse_form("sin(x)*d[x]", ch2)
+        s = Pseudostructure(ch2, par1, {"x": u, "y": u ** 2})
+        with pytest.raises(FormError, match=r"^homotopy antiderivative needs polynomial coefficients$"):
+            integrate_chain(Relation(DiffForm.zero(ch2, 0), omega), s)
+
     def test_identical_chain_closed_difference(self):
         psi = DiffForm.scalar(ch2, x * y)
         relation = Relation(psi, ext_d(psi))
@@ -291,17 +328,7 @@ class TestIntegrateChain:
             integrate_chain(Relation(DiffForm.zero(chart, 0), omega), s)
 
     def test_two_degree_descent(self):
-        chart = Chart(["x", "y", "z", "w"])
-        params = Chart(["u", "v", "s"])
-        psi = random_form(random.Random(77), chart, 1, max_total_deg=2)
-        relation = Relation(psi, ext_d(psi))
-        mapping = {
-            "x": Expr.var("u"),
-            "y": Expr.var("v"),
-            "z": Expr.var("s"),
-            "w": Expr.var("u") * Expr.var("v"),
-        }
-        s = Pseudostructure(chart, params, mapping)
+        relation, s = _two_degree_setup()
         steps = integrate_chain(relation, s)
         degrees = [st.degree for st in steps]
         assert degrees == sorted(degrees, reverse=True)

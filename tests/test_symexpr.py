@@ -1046,7 +1046,8 @@ def test_expr_shortcuts_match_make_without_gcd(monkeypatch):
         for v in (c, one, zero):
             cases += [(lambda u=u, v=v: u * v, lambda u=u, v=v: Expr.make(u.num * v.num, u.den * v.den))]
             cases += [(lambda u=u, v=v: v * u, lambda u=u, v=v: Expr.make(v.num * u.num, v.den * u.den))]
-    wants = [want() for _, want in cases] + [_general_add(a, b, 1)]
+    e = parse_expr("1/((x + 1)*(y^2 - 2))")  # its denominator shares y^2 - 2 with a's
+    wants = [want() for _, want in cases] + [_general_add(a, e, 1)]
     calls = []
     real_gcd = symexpr.poly_gcd
 
@@ -1055,7 +1056,7 @@ def test_expr_shortcuts_match_make_without_gcd(monkeypatch):
         return real_gcd(f, g)
 
     monkeypatch.setattr(symexpr, "poly_gcd", counting_gcd)
-    assert a + b == wants[-1] and len(calls) == 1  # the counter sees the general path
+    assert a + e == wants[-1] and len(calls) == 2  # the counter sees the general path: gcd(b, d), gcd(t, g)
     calls.clear()
     for (got, _), want in zip(cases, wants):
         got = got()
@@ -1063,3 +1064,59 @@ def test_expr_shortcuts_match_make_without_gcd(monkeypatch):
         assert list(got.num.terms.items()) == list(want.num.terms.items())
         assert list(got.den.terms.items()) == list(want.den.terms.items())
     assert calls == []
+
+
+def _henrici_operands(rng):
+    """A pair of canonical Exprs, built by Expr.make alone, whose
+    denominators are equal, coprime or partly shared products of a few
+    factors (one of them sin(x) + 2); some pairs sum to 0 or a constant."""
+    factors = [parse_expr(t).num for t in ("x + 1", "y - 2", "x*y + 3", "sin(x) + 2", "2*x - y^2", "x^2 + y")]
+
+    def product(picks):
+        out = _POLY_ONE
+        for k in picks:
+            out = out * factors[k]
+        return out
+
+    def operand(den_picks):
+        num = random_poly(rng, ["x", "y"], max_terms=3, max_total_deg=2).num
+        if rng.random() < 0.3:
+            num = num * factors[rng.choice(den_picks or [0])]  # cancels against the denominator
+        return Expr.make(num, product(den_picks))
+
+    picks = rng.sample(range(len(factors)), rng.randint(0, 3))
+    shape = rng.choice(["equal", "coprime", "shared", "cancel", "constant"])
+    u = operand(picks)
+    if shape == "equal":
+        return u, operand(picks)
+    if shape == "coprime":
+        return u, operand(rng.sample([k for k in range(len(factors)) if k not in picks], rng.randint(1, 2)))
+    if shape == "shared":
+        return u, operand(picks[:1] + rng.sample(range(len(factors)), rng.randint(1, 2)))
+    if shape == "cancel":
+        return u, Expr.make(-u.num, u.den)
+    return u, Expr.make(u.den.scale(rng.randint(-3, 3)) - u.num, u.den)
+
+
+def test_henrici_arithmetic_matches_make_of_cross_products():
+    """+, -, *, / and ** take gcds of the operands' parts only (Henrici);
+    the result is the Expr that Expr.make gives for the naive cross
+    products, the same by ==, by text and by sort_key."""
+    rng = random.Random(140)
+    seen = set()
+    for _ in range(300):
+        a, b = _henrici_operands(rng)
+        cases = [
+            (a + b, Expr.make(a.num * b.den + b.num * a.den, a.den * b.den)),
+            (a - b, Expr.make(a.num * b.den - b.num * a.den, a.den * b.den)),
+            (a * b, Expr.make(a.num * b.num, a.den * b.den)),
+            (a ** 2, Expr.make(a.num ** 2, a.den ** 2)),
+        ]
+        if not b.is_zero_struct():
+            cases += [(a / b, Expr.make(a.num * b.den, a.den * b.num)), (b ** -3, Expr.make(b.den ** 3, b.num ** 3))]
+        for got, want in cases:
+            assert got == want
+            assert str(got) == str(want)
+            assert got.sort_key() == want.sort_key()
+            seen.add("zero" if got.is_zero_struct() else "constant" if got.is_rational_constant() else "rational")
+    assert seen == {"zero", "constant", "rational"}
