@@ -16,11 +16,12 @@ rejected at construction so the kernel stays exact.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from .symexpr import Expr, ExprError, ONE, ZERO, compile_numeric, zero_test, _POLY_ONE, _POLY_ZERO, _poly_sqrt
+from .symexpr import Expr, ExprError, Monomial, ONE, ZERO, compile_numeric, zero_test, _gen_key, _nonzero_poly, _POLY_ONE, _poly_sqrt
 from .exterior import Chart, ChartError, DiffForm, FormError, _merge_indices, ext_d, is_closed
 from .manifold import Connection
 
@@ -34,55 +35,105 @@ def minor_table(rows):
     determinant on the increasing row tuple R and column tuple C.
 
     Each row is multiplied by the product of its distinct non-constant
-    denominators, which leaves a matrix of polynomials.  A minor is the
-    Laplace expansion along the first row of R, each polynomial minor
-    computed once per (R, C) and shared by every minor that reaches it (no
-    division, no gcd); a zero entry or a zero minor prunes its branch.  The
-    one division, by the product of the row scales of R, is an `Expr.make`
-    at the end.  On the full matrix this performs the products and sums of
-    plain Laplace expansion in its order."""
-    mat, scales = [], []
+    denominators, which leaves a matrix of polynomials, and then by the lcm
+    of its coefficient denominators, its integer scale, which leaves integer
+    coefficients.  Each monomial is packed into one int: the exponent of the
+    k-th generator, in `_gen_key` order, sits in bit field k, whose width
+    holds the sum over rows of each row's largest total degree, so no
+    exponent of any minor carries into the next field and a product of
+    monomials is an int sum.
+
+    A minor is the Laplace expansion along the first row of R, each packed
+    minor computed once per (R, C) and shared by every minor that reaches it
+    (no division, no gcd); a zero entry or a zero minor prunes its branch.
+    Each row entry times sub-minor product is built in `Poly.__mul__`'s
+    order and merged as `Poly.__add__` merges, so on the full matrix this
+    gives the terms of plain Laplace expansion in its dict order.  A minor
+    asked for is unpacked once, over the product of the integer scales of
+    R; the one division, by the product of the row scales of R, is an
+    `Expr.make` at the end."""
+    cleared, scales = [], []
     for row in rows:
         dens, scale = [], _POLY_ONE
         for e in row:
             if not e.den.is_const() and e.den not in dens:
                 dens.append(e.den)
                 scale = scale * e.den
-        cleared = []
+        polys = []
         for e in row:
             num = e.num
             for d in dens:
                 if d != e.den:
                     num = num * d
-            cleared.append(num)
-        mat.append(cleared)
+            polys.append(num)
+        cleared.append(polys)
         scales.append(scale)
+    gens = sorted({g for row in cleared for p in row for g in p.generators()}, key=_gen_key)
+    width = sum(max(p.total_degree() for p in row) for row in cleared).bit_length()
+    fields = [(g, _gen_key(g), k * width) for k, g in enumerate(gens)]
+    shift = {g: at for g, _, at in fields}
+    mask = (1 << width) - 1
+    mat, negated, lcms = [], [], []
+    for polys in cleared:
+        lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        row = [
+            {sum(e << shift[g] for g, e in m.items): c.numerator * (lcm // c.denominator) for m, c in p.terms.items()}
+            for p in polys
+        ]
+        mat.append(row)
+        negated.append([{m: -c for m, c in p.items()} for p in row])
+        lcms.append(lcm)
     memo = {}
 
-    def poly_minor(R, C):
+    def packed_minor(R, C):
         if len(C) == 1:
             return mat[R[0]][C[0]]
         got = memo.get((R, C))
         if got is None:
-            row, rest = mat[R[0]], R[1:]
-            got = _POLY_ZERO
+            r, rest = R[0], R[1:]
+            got = {}
             for k, j in enumerate(C):
-                if not row[j].terms:
+                a = (negated if k % 2 else mat)[r][j]
+                if not a:
                     continue
-                sub = poly_minor(rest, C[:k] + C[k + 1:])
-                if sub.terms:
-                    term = row[j] * sub
-                    got = got + term if k % 2 == 0 else got - term
+                b = packed_minor(rest, C[:k] + C[k + 1:])
+                if not b:
+                    continue
+                term = {}
+                get = term.get
+                for m1, c1 in a.items():
+                    for m2, c2 in b.items():
+                        m = m1 + m2
+                        term[m] = get(m, 0) + c1 * c2
+                # a sum that cancels leaves the dict and re-enters at its end
+                get = got.get
+                for m, c in term.items():
+                    if c:
+                        s = get(m, 0) + c
+                        if s:
+                            got[m] = s
+                        else:
+                            del got[m]
             memo[(R, C)] = got
         return got
 
     def minor(R, C):
         if not R:
             return ONE
-        den = _POLY_ONE
+        den, lcm = _POLY_ONE, 1
         for r in R:
             den = den * scales[r]
-        return Expr.make(poly_minor(R, C), den)
+            lcm *= lcms[r]
+        terms = {}
+        for m, c in packed_minor(R, C).items():
+            items, keys = [], []
+            for g, key, at in fields:
+                e = m >> at & mask
+                if e:
+                    items.append((g, e))
+                    keys.append(key)
+            terms[Monomial(items, keys)] = Fraction(c, lcm)
+        return Expr.make(_nonzero_poly(terms), den)
 
     return minor
 

@@ -110,7 +110,7 @@ def evo_commutator(a, c):
     Equals the antisymmetrized covariant derivative a_{b;a} - a_{a;b}; read
     off evo_d(a, c)."""
     if a.degree != 1:
-        raise FormError(f"covariant_deriv expects a 1-form, got degree {a.degree}")
+        raise FormError(f"evo_commutator expects a 1-form, got degree {a.degree}")
     return _antisymmetric_matrix(evo_d(a, c))
 
 

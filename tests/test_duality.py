@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from skewform.symexpr import ONE, ZERO, Expr, ExprError, parse_expr
+from skewform.symexpr import ONE, ZERO, Expr, ExprError, Monomial, parse_expr, _POLY_ONE, _POLY_ZERO
 from skewform.exterior import Chart, DiffForm, ext_d, parse_form, wedge
 from skewform.duality import (
     Metric,
@@ -19,6 +19,7 @@ from skewform.duality import (
     hodge_laplacian,
     hodge_star,
     laplacian,
+    minor_table,
     sqrt_expr,
 )
 from skewform.manifold import riemann
@@ -579,3 +580,147 @@ def test_inverse_minors_follow_jacobi():
                 for J in combinations(range(n), p):
                     block = [[g.inverse[j][i] for i in I] for j in J]
                     assert g.inverse_minor(J, I) == det_expr(block), (n, I, J)
+
+
+# The `minor_table` expansion over `Poly` that the packed-integer expansion
+# replaced, kept verbatim as the oracle for it.
+
+
+def _old_minor_table(rows):
+    mat, scales = [], []
+    for row in rows:
+        dens, scale = [], _POLY_ONE
+        for e in row:
+            if not e.den.is_const() and e.den not in dens:
+                dens.append(e.den)
+                scale = scale * e.den
+        cleared = []
+        for e in row:
+            num = e.num
+            for d in dens:
+                if d != e.den:
+                    num = num * d
+            cleared.append(num)
+        mat.append(cleared)
+        scales.append(scale)
+    memo = {}
+
+    def poly_minor(R, C):
+        if len(C) == 1:
+            return mat[R[0]][C[0]]
+        got = memo.get((R, C))
+        if got is None:
+            row, rest = mat[R[0]], R[1:]
+            got = _POLY_ZERO
+            for k, j in enumerate(C):
+                if not row[j].terms:
+                    continue
+                sub = poly_minor(rest, C[:k] + C[k + 1:])
+                if sub.terms:
+                    term = row[j] * sub
+                    got = got + term if k % 2 == 0 else got - term
+            memo[(R, C)] = got
+        return got
+
+    def minor(R, C):
+        if not R:
+            return ONE
+        den = _POLY_ONE
+        for r in R:
+            den = den * scales[r]
+        return Expr.make(poly_minor(R, C), den)
+
+    return minor
+
+
+_WIDE = [parse_expr(t) for t in ("x^37*y^29", "x^37", "y^29", "x^18*y^11", "x")]
+_NUMERATOR_ATOMS = [parse_expr(t) for t in ("sin(x)", "exp(y)")]
+_MINOR_DENOMINATORS = [parse_expr(t) for t in ("sin(x) + 2", "x + 1")]
+
+
+def _minor_entry(rng, kind):
+    """A random entry of a `kind` matrix: "wide" has exponents that need
+    wide bit fields, "atoms" has sin(x) and exp(y) as generators, and
+    "rational" has sin(x) + 2 or x + 1 as a denominator.  Coefficient
+    denominators differ from entry to entry."""
+    if rng.random() < 0.2:
+        return ZERO
+    e = ZERO
+    for _ in range(rng.randint(1, 2)):
+        t = Expr.const(Fraction(rng.randint(-4, 4) or 1, rng.choice([1, 2, 3, 5])))
+        if kind == "wide":
+            t = t * rng.choice(_WIDE)
+        else:
+            t = t * x ** rng.randint(0, 1) * y ** rng.randint(0, 1)
+            if kind == "atoms" and rng.random() < 0.4:
+                t = t * rng.choice(_NUMERATOR_ATOMS)
+        e = e + t
+    if kind == "rational" and rng.random() < 0.5:
+        e = e / rng.choice(_MINOR_DENOMINATORS)
+    return e
+
+
+def test_packed_minor_table_matches_poly_expansion():
+    """Every minor, the empty one and the 1x1 ones included, equals the
+    `Poly` expansion's, with the same text and the same numerator and
+    denominator terms in the same dict order."""
+    rng = random.Random("packed-minor-table")
+    kinds = set()
+    minors = 0
+    for case in range(48):
+        n, kind = 1 + case % 5, ("wide", "atoms", "rational")[case // 5 % 3]
+        if kind == "rational" and n == 5:
+            n = 3
+        rows = [[_minor_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+        shape = ("dense", "zero row", "zero column")[case % 3]
+        if shape == "zero row":
+            rows[rng.randrange(n)] = [ZERO] * n
+        elif shape == "zero column":
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = ZERO
+        kinds.add((kind, shape))
+        got, want = minor_table(rows), _old_minor_table(rows)
+        for p in range(n + 1):
+            for R in combinations(range(n), p):
+                for C in combinations(range(n), p):
+                    a, b = got(R, C), want(R, C)
+                    assert a == b and str(a) == str(b), (case, R, C)
+                    assert list(a.num.terms.items()) == list(b.num.terms.items()), (case, R, C)
+                    assert list(a.den.terms.items()) == list(b.den.terms.items()), (case, R, C)
+                    minors += 1
+    assert len(kinds) == 9 and minors > 2000, (kinds, minors)
+
+
+def test_polynomial_det_makes_no_monomial_products(monkeypatch):
+    """A 6x6 determinant of a dense P*L*U matrix of linear polynomials in
+    x, y (the geometry-dense shape) multiplies packed ints only: no
+    `Monomial.mul` call.  Its value is sign(P) times the diagonal of U."""
+    rng = random.Random("packed-det-6x6")
+    n = 6
+
+    def linear():
+        return sum((rng.choice([-2, -1, 1, 2]) * v for v in (x, y)), Expr.const(rng.choice([-2, -1, 1, 2])))
+
+    L = [[Expr.const(rng.choice([-2, -1, 1, 2])) if j < i else ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+    U = [[linear() if j >= i else ZERO for j in range(n)] for i in range(n)]
+    LU = [[sum((L[i][k] * U[k][j] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [LU[perm[i]] for i in range(n)]
+    sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    want = Expr.const(sign)
+    for i in range(n):
+        want = want * U[i][i]
+    calls = []
+    mul = Monomial.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Monomial, "mul", counted)
+    got = det_expr(rows)
+    monkeypatch.undo()
+    assert len(calls) == 0
+    assert got == want and len(got.num.terms) > 20

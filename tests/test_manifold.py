@@ -179,10 +179,12 @@ class TestCommutatorsReadOffD:
         a2 = parse_form("x*d[x]^d[y]", ch2)
         with pytest.raises(FormError, match=r"^commutator of a degree-2 form \(expected degree 1\)$"):
             commutator1(a2)
-        with pytest.raises(FormError, match=r"^covariant_deriv expects a 1-form, got degree 2$"):
+        with pytest.raises(FormError, match=r"^evo_commutator expects a 1-form, got degree 2$"):
             evo_commutator(a2, Connection.zero(ch2))
-        with pytest.raises(FormError, match=r"^covariant_deriv expects a 1-form, got degree 0$"):
+        with pytest.raises(FormError, match=r"^evo_commutator expects a 1-form, got degree 0$"):
             evo_commutator(DiffForm.scalar(ch2, Expr.var("x")), Connection.zero(ch2))
+        with pytest.raises(FormError, match=r"^covariant_deriv expects a 1-form, got degree 2$"):
+            covariant_deriv(a2, Connection.zero(ch2))
         with pytest.raises(ChartError, match=r"^chart mismatch"):
             evo_commutator(parse_form("y*d[x]", ch2), Connection.zero(ch3))
 
