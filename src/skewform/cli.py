@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,14 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="seed for probabilistic zero tests and locus sampling (default 0)")
 
 
+def tolerance(text):
+    """A finite float > 0: with nan or inf no sample could ever exceed it."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="skewform",
@@ -35,7 +44,7 @@ def build_parser():
     _add_common(p_check)
     p_check.add_argument(
         "--tolerance",
-        type=float,
+        type=tolerance,
         default=1e-9,
         help="numeric tolerance for zero-locus scans (default 1e-9)",
     )

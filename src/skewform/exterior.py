@@ -9,6 +9,8 @@ contraction integrated exactly in an auxiliary parameter).
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
 from .symexpr import (
@@ -546,13 +548,23 @@ class _Parser:
             n = int(rhs.as_fraction())
             if n < 0 and base.is_zero_struct():
                 raise ExprSyntaxError("zero to a negative power", t.pos)
+            if base.is_rational_constant():
+                # refused before it is built, as it could not be printed (no limit before Python 3.10.7)
+                q, limit = base.as_fraction(), getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                digits = math.log10(max(abs(q.numerator), q.denominator))  # per unit of |n|
+                if limit and digits and abs(n) > limit / digits:
+                    raise ExprSyntaxError(f"constant power has more than {limit} digits", t.pos)
             return base ** n
         return base
 
     def parse_primary(self):
         t = self.next()
         if t.kind == "number":
-            return Expr.const(Fraction(t.value))
+            try:
+                value = Fraction(t.value)
+            except ValueError as exc:  # past the interpreter's int-to-str digit limit
+                raise ExprSyntaxError(f"number literal has more than {sys.get_int_max_str_digits()} digits", t.pos) from exc
+            return Expr.const(value)
         if t.kind == "(":
             self.descend(t)
             v = self.parse_sum()

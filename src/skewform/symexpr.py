@@ -148,9 +148,6 @@ class Monomial:
             return False
         return j < len(b)
 
-    def __le__(self, other):
-        return self == other or self < other
-
     def mul(self, other):
         a, b = self.items, other.items
         if not b:
@@ -310,14 +307,11 @@ class Poly:
         # products sum as ints, zero exactly when the Fraction sums would be.
         if not self.terms or not other.terms:
             return Poly({})
-        # A constant factor c scales the other term by term; c == 1 returns
-        # the other factor itself, as a Poly is immutable.
+        # A constant factor scales the other term by term.
         if other.is_const():
-            c = other.const_value()
-            return self if c == 1 else self.scale(c)
+            return self.scale(other.const_value())
         if self.is_const():
-            c = self.const_value()
-            return other if c == 1 else other.scale(c)
+            return other.scale(self.const_value())
         da, a = self._int_terms()
         db, b = other._int_terms()
         res = {}
@@ -338,6 +332,9 @@ class Poly:
         return d, [(m, c.numerator * (d // c.denominator)) for m, c in self.terms.items()]
 
     def scale(self, q):
+        """self times the rational q; q == 1 returns self, as a Poly is immutable."""
+        if q == 1:
+            return self
         if not q:
             return Poly({})
         return _nonzero_poly({m: c * q for m, c in self.terms.items()})
@@ -436,14 +433,8 @@ def _poly_divexact(f, g):
 
 def _frac_content(p):
     """Positive rational c with p/c having integer, setwise-coprime coeffs."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    if num_gcd == 0:
-        return Fraction(1)
-    return Fraction(num_gcd, den_lcm)
+    d, ints = p._int_terms()
+    return Fraction(math.gcd(*(c for _, c in ints)) or 1, d)
 
 
 def _to_univar(p, x):
@@ -470,8 +461,9 @@ def _from_univar(u, x):
 
 
 def _univar_content(u):
-    c = _POLY_ZERO
-    for coeff in u.values():
+    coeffs = iter(u.values())
+    c = _gcd_normalize(next(coeffs))
+    for coeff in coeffs:
         c = poly_gcd(c, coeff)
     return c
 
@@ -571,19 +563,6 @@ def _poly_smod(p, m):
     return Poly(res)
 
 
-def _divides(h, f):
-    try:
-        _poly_divexact(f, h)
-        return True
-    except NotExactDivision:
-        return False
-
-
-def _int_primitive(p):
-    c = _frac_content(p)
-    return p.scale(1 / c) if c != 1 else p
-
-
 def _gcd_interpolate(he, xi, x):
     """Recover the generator-x structure from base-xi digits of he's
     integer coefficients (symmetric remainders)."""
@@ -603,8 +582,9 @@ def _gcd_interpolate(he, xi, x):
 
 
 def _gcdheu(f, g, gens):
-    """Heuristic GCD by evaluation at a large integer point and digitwise
-    reconstruction, verified by trial division; exact when it returns.
+    """(h, f/h, g/h) for the heuristic GCD h, found by evaluation at a large
+    integer point and digitwise reconstruction; exact when it returns, as
+    the two quotients are its verifying trial division.
 
     The common integer content is pulled out per level and multiplied back
     onto the verified result: after extraction the sought gcd is
@@ -615,12 +595,10 @@ def _gcdheu(f, g, gens):
     cf = _frac_content(f)
     cg = _frac_content(g)
     common = Fraction(math.gcd(cf.numerator, cg.numerator))
-    if common != 1:
-        f = f.scale(1 / common)
-        g = g.scale(1 / common)
+    f, g = f.scale(1 / common), g.scale(1 / common)
     if not gens or f.is_const() or g.is_const():
         # after extraction the residual gcd of a constant with anything is 1
-        return Poly.const(common)
+        return Poly.const(common), f, g
     x = gens[0]
     norm = min(_poly_maxnorm(f), _poly_maxnorm(g))
     xi = 2 * norm + 29
@@ -629,40 +607,54 @@ def _gcdheu(f, g, gens):
         ge = _poly_eval_gen(g, x, xi)
         if not fe.is_zero() and not ge.is_zero():
             try:
-                he = _gcdheu(fe, ge, gens[1:])
+                he = _gcdheu(fe, ge, gens[1:])[0]
             except _HeuristicFailed:
                 he = None
             if he is not None and not he.is_zero():
                 h = _gcd_interpolate(he, xi, x)
                 if h is not None and not h.is_zero():
-                    h = _int_primitive(h)
-                    if _divides(h, f) and _divides(h, g):
-                        return h.scale(common)
+                    h = h.scale(1 / _frac_content(h))
+                    try:
+                        return h.scale(common), _poly_divexact(f, h), _poly_divexact(g, h)
+                    except NotExactDivision:
+                        pass
         xi = 73794 * xi // 27011 + 7
     raise _HeuristicFailed
 
 
-def poly_gcd(f, g):
-    """GCD of multivariate polynomials over Q, monic in the monomial order.
+def poly_cofactors(f, g):
+    """(h, f/h, g/h) for h the GCD of nonzero multivariate polynomials
+    over Q, monic in the monomial order.  A gcd of 1 returns f and g
+    themselves.
 
-    Heuristic evaluate-and-reconstruct GCD first (verified exactly by trial
-    division), with the primitive PRS as a correctness fallback.
+    Heuristic evaluate-and-reconstruct GCD first, whose verifying trial
+    division yields the cofactors, with the primitive PRS as a correctness
+    fallback that divides once at its end.
     """
-    if f.is_zero():
-        return _gcd_normalize(g)
-    if g.is_zero():
-        return _gcd_normalize(f)
     if f.is_const() or g.is_const():
-        return _POLY_ONE
+        if not (f.terms and g.terms):
+            raise ZeroDivisionError("cofactors of a zero polynomial")
+        return _POLY_ONE, f, g
     if f == g:
-        return _gcd_normalize(f)
+        c = Poly.const(f.leading()[1])
+        return _gcd_normalize(f), c, c
     gens = sorted(f.generators() | g.generators(), key=_gen_key)
-    fi = _int_primitive(f)
-    gi = _int_primitive(g)
+    cf, cg = _frac_content(f), _frac_content(g)
+    fi, gi = f.scale(1 / cf), g.scale(1 / cg)
     try:
-        return _gcd_normalize(_gcdheu(fi, gi, gens))
+        h, fq, gq = _gcdheu(fi, gi, gens)
     except _HeuristicFailed:
-        return _prs_gcd(fi, gi)
+        h = _prs_gcd(fi, gi)
+        fq, gq = _poly_divexact(fi, h), _poly_divexact(gi, h)
+    if h.is_const():
+        return _POLY_ONE, f, g
+    _, lc = h.leading()
+    return h.scale(1 / lc), fq.scale(cf * lc), gq.scale(cg * lc)
+
+
+def poly_gcd(f, g):
+    """GCD of multivariate polynomials over Q, monic in the monomial order."""
+    return poly_cofactors(f, g)[0]
 
 
 def _gcd_normalize(p):
@@ -722,11 +714,8 @@ class Expr:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             return ZERO
-        if not den.is_const():
-            g = poly_gcd(num, den)
-            if not (g.is_const() and g.const_value() == 1):
-                num = _poly_divexact(num, g)
-                den = _poly_divexact(den, g)
+        if not (num.is_const() or den.is_const()):
+            _, num, den = poly_cofactors(num, den)
         _, lc = den.leading()
         if lc != 1:
             inv = 1 / lc
@@ -834,8 +823,8 @@ class Expr:
             return self._scaled(other.num)
         if self.is_rational_constant():
             return other._scaled(self.num)
-        a, d = _cancel(self.num, other.den)
-        c, b = _cancel(other.num, self.den)
+        _, a, d = poly_cofactors(self.num, other.den)
+        _, c, b = poly_cofactors(other.num, self.den)
         return Expr(a * c, b * d, _canonical=True)
 
     def _scaled(self, c):
@@ -947,28 +936,15 @@ def _polynomial_expr(num):
 # only gcds of their parts are needed, never the gcd of a full cross product.
 
 
-def _cancel(p, q):
-    """(p/g, q/g) for g = gcd(p, q); a constant p or q takes no gcd."""
-    if p.is_const() or q.is_const():
-        return p, q
-    g = poly_gcd(p, q)
-    if g.is_const():
-        return p, q
-    return _poly_divexact(p, g), _poly_divexact(q, g)
-
-
 def _fraction_sum(a, b, c, d):
     """a/b + c/d in canonical form for canonical a/b and c/d.  With
     g = gcd(b, d) the sum is t / ((b/g) d) for t = a (d/g) + c (b/g), and t
     can share a factor with g only: gcd(t, b/g) = gcd(t, d/g) = 1."""
-    if b.is_const() or d.is_const() or (g := poly_gcd(b, d)).is_const():
-        t = a * d + c * b
-        return Expr(t, b * d, _canonical=True) if t.terms else ZERO
-    b1, d1 = _poly_divexact(b, g), _poly_divexact(d, g)
+    g, b1, d1 = poly_cofactors(b, d)
     t = a * d1 + c * b1
     if not t.terms:
         return ZERO
-    t, rest = _cancel(t, g)  # rest = g / gcd(t, g), g itself when that gcd is 1
+    _, t, rest = poly_cofactors(t, g)  # rest = g / gcd(t, g), g itself when that gcd is 1
     return Expr(t, b1 * d if rest is g else b1 * d1 * rest, _canonical=True)
 
 
@@ -1292,12 +1268,9 @@ def _float_node(num, den, expr):
 def _exact_sum(p, slots):
     """The closure (a, B) -> (n, s) with p = n / s at the values a[k] / B,
     a over one common denominator B."""
-    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    scale, ints = p._int_terms()
     degree = p.total_degree()
-    terms = [
-        (c.numerator * (scale // c.denominator), degree - m.degree, tuple((slots[g], e) for g, e in m.items))
-        for m, c in p.terms.items()
-    ]
+    terms = [(c, degree - m.degree, tuple((slots[g], e) for g, e in m.items)) for m, c in ints]
 
     def poly(a, common):
         total = 0

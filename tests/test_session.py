@@ -355,6 +355,33 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.strip() == f"error: line 14: bad steps count {count}"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, value):
+        # with nan or inf no sample exceeds the tolerance: sin(x) + 2 would scan as zero
+        f = tmp_path / "scan.sf"
+        f.write_text("chart x y\nscan determinant [sin(x) + 2]\n")
+        proc = run_cli("check", str(f), "--tolerance", value)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"argument --tolerance: must be a finite number > 0, got '{value}'" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("eval 2^(10^7)", "constant power has more than"),
+            ("eval 0.5^-100000", "constant power has more than"),
+            ("eval " + "1" * 5000, "number literal has more than"),
+            ("form w = " + "1" * 5000 + "*d[x]", "number literal has more than"),
+        ],
+        ids=["power", "negative-power", "literal-in-eval", "literal-in-form"],
+    )
+    def test_oversized_constants_are_diagnostics(self, tmp_path, line, message):
+        f = tmp_path / "big.sf"
+        f.write_text(f"chart x y\n# constants\n{line}\n")
+        proc = run_cli("check", str(f))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: line 3: {message}")
+        assert "Traceback" not in proc.stderr
+
     def test_check_diagnostic_exit(self, tmp_path):
         f = tmp_path / "broken.sf"
         f.write_text("chart x y\nclassify 0 => missing\n")

@@ -138,7 +138,7 @@ class TestCanonicalForm:
         # gcd(a*c, b*c) must divide both inputs and be divisible by c
         import random
 
-        from skewform.symexpr import NotExactDivision, _poly_divexact, poly_gcd
+        from skewform.symexpr import NotExactDivision, _poly_divexact, poly_cofactors, poly_gcd
         from conftest import random_poly
 
         rng = random.Random(14)
@@ -151,6 +151,8 @@ class TestCanonicalForm:
             if f.is_zero() or g.is_zero():
                 continue
             h = poly_gcd(f, g)
+            cofactors = poly_cofactors(f, g)
+            assert cofactors[0] == h and h * cofactors[1] == f and h * cofactors[2] == g
             _poly_divexact(f, h)
             _poly_divexact(g, h)
             _poly_divexact(h, poly_gcd(h, c))
@@ -158,6 +160,40 @@ class TestCanonicalForm:
                 _poly_divexact(h, c)
             except NotExactDivision:
                 raise AssertionError(f"common factor not extracted: gcd({a}*{c}, {b}*{c}) = {h}")
+
+    @pytest.mark.parametrize("path", ["heuristic", "prs"])
+    def test_cofactors_on_both_paths(self, path, monkeypatch):
+        """The PRS fallback gives the heuristic's gcd and cofactors, and a
+        coprime pair comes back as the operands themselves on either path."""
+        from skewform import symexpr
+        from conftest import random_poly
+
+        rng = random.Random(16)
+        cases = []
+        for _ in range(12):
+            a = random_poly(rng, ["x", "y"], max_total_deg=3).num
+            b = random_poly(rng, ["x", "y"], max_total_deg=3).num
+            c = (random_poly(rng, ["x", "y"], max_total_deg=2) + 1).num
+            f, g = (a * c).scale(Fraction(3, 2)), (b * c).scale(Fraction(-2, 5))
+            if not (f.is_const() or g.is_const()):
+                cases += [(f, g), (f, f)]
+        wants = [symexpr.poly_cofactors(f, g) for f, g in cases]
+        failed = []
+        if path == "prs":
+
+            def fail(*args):
+                failed.append(args)
+                raise symexpr._HeuristicFailed
+
+            monkeypatch.setattr(symexpr, "_gcdheu", fail)
+        for (f, g), want in zip(cases, wants):
+            h, fh, gh = symexpr.poly_cofactors(f, g)
+            assert (h, fh, gh) == want and h * fh == f and h * gh == g
+            assert h.leading()[1] == 1
+        f, g = parse_expr("x^2 + y + 1").num, parse_expr("3*x*y - 2").num
+        h, fh, gh = symexpr.poly_cofactors(f, g)
+        assert h == _POLY_ONE and fh is f and gh is g
+        assert bool(failed) == (path == "prs")
 
     def test_equal_products_cancel(self):
         import random
@@ -1026,7 +1062,7 @@ def _general_add(a, b, sign):
 def test_expr_shortcuts_match_make_without_gcd(monkeypatch):
     """A zero operand, a negation, a constant factor and a sum or difference
     of two polynomials give the Expr, and the `terms` order of numerator and
-    denominator, of the general `Expr.make` path, without calling poly_gcd."""
+    denominator, of the general `Expr.make` path, without calling poly_cofactors."""
     a, b = parse_expr("(x + sin(y))/(y^2 - 2)"), parse_expr("x^2*y - 3*y + 1/2")
     c, zero, one = Expr.const(Fraction(-3, 4)), Expr.const(0), Expr.const(1)
     p, q = parse_expr("x*y + 1 - exp(x)"), parse_expr("y^2 - x/2 - 1 + exp(x)")
@@ -1049,13 +1085,13 @@ def test_expr_shortcuts_match_make_without_gcd(monkeypatch):
     e = parse_expr("1/((x + 1)*(y^2 - 2))")  # its denominator shares y^2 - 2 with a's
     wants = [want() for _, want in cases] + [_general_add(a, e, 1)]
     calls = []
-    real_gcd = symexpr.poly_gcd
+    real_cofactors = symexpr.poly_cofactors
 
-    def counting_gcd(f, g):
+    def counting_cofactors(f, g):
         calls.append((f, g))
-        return real_gcd(f, g)
+        return real_cofactors(f, g)
 
-    monkeypatch.setattr(symexpr, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(symexpr, "poly_cofactors", counting_cofactors)
     assert a + e == wants[-1] and len(calls) == 2  # the counter sees the general path: gcd(b, d), gcd(t, g)
     calls.clear()
     for (got, _), want in zip(cases, wants):
