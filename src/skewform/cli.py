@@ -126,10 +126,10 @@ def _cmd_catalog(args):
 def _cmd_eval(args):
     try:
         e = parse_expr(args.expr)
+        doc = {"input": args.expr, "canonical": str(e)}
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = {"input": args.expr, "canonical": str(e)}
     if args.at:
         bindings = {}
         try:

@@ -16,12 +16,11 @@ rejected at construction so the kernel stays exact.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from .symexpr import Expr, ExprError, Monomial, ONE, ZERO, compile_numeric, zero_test, _gen_key, _nonzero_poly, _POLY_ONE, _poly_sqrt
+from .symexpr import Expr, ExprError, ONE, ZERO, compile_numeric, zero_test, _PackedRing, _POLY_ONE, _poly_sqrt
 from .exterior import Chart, ChartError, DiffForm, FormError, _merge_indices, ext_d, is_closed
 from .manifold import Connection
 
@@ -35,13 +34,10 @@ def minor_table(rows):
     determinant on the increasing row tuple R and column tuple C.
 
     Each row is multiplied by the product of its distinct non-constant
-    denominators, which leaves a matrix of polynomials, and then by the lcm
-    of its coefficient denominators, its integer scale, which leaves integer
-    coefficients.  Each monomial is packed into one int: the exponent of the
-    k-th generator, in `_gen_key` order, sits in bit field k, whose width
-    holds the sum over rows of each row's largest total degree, so no
-    exponent of any minor carries into the next field and a product of
-    monomials is an int sum.
+    denominators, which leaves a matrix of polynomials, and is then packed
+    with its content apart on one `_PackedRing` (see symexpr), whose bound
+    for each generator is the sum over rows of the row's largest exponent,
+    so no minor leaves its fields.
 
     A minor is the Laplace expansion along the first row of R, each packed
     minor computed once per (R, C) and shared by every minor that reaches it
@@ -49,8 +45,8 @@ def minor_table(rows):
     Each row entry times sub-minor product is built in `Poly.__mul__`'s
     order and merged as `Poly.__add__` merges, so on the full matrix this
     gives the terms of plain Laplace expansion in its dict order.  A minor
-    asked for is unpacked once, over the product of the integer scales of
-    R; the one division, by the product of the row scales of R, is an
+    asked for is unpacked once, times the contents of the rows of R; the
+    one division, by the product of their cleared denominators, is an
     `Expr.make` at the end."""
     cleared, scales = [], []
     for row in rows:
@@ -68,21 +64,13 @@ def minor_table(rows):
             polys.append(num)
         cleared.append(polys)
         scales.append(scale)
-    gens = sorted({g for row in cleared for p in row for g in p.generators()}, key=_gen_key)
-    width = sum(max(p.total_degree() for p in row) for row in cleared).bit_length()
-    fields = [(g, _gen_key(g), k * width) for k, g in enumerate(gens)]
-    shift = {g: at for g, _, at in fields}
-    mask = (1 << width) - 1
-    mat, negated, lcms = [], [], []
+    ring = _PackedRing(cleared)
+    mat, negated, contents = [], [], []
     for polys in cleared:
-        lcm = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-        row = [
-            {sum(e << shift[g] for g, e in m.items): c.numerator * (lcm // c.denominator) for m, c in p.terms.items()}
-            for p in polys
-        ]
+        content, row = ring.pack(polys)
         mat.append(row)
         negated.append([{m: -c for m, c in p.items()} for p in row])
-        lcms.append(lcm)
+        contents.append(content)
     memo = {}
 
     def packed_minor(R, C):
@@ -120,20 +108,11 @@ def minor_table(rows):
     def minor(R, C):
         if not R:
             return ONE
-        den, lcm = _POLY_ONE, 1
+        den, content = _POLY_ONE, 1
         for r in R:
             den = den * scales[r]
-            lcm *= lcms[r]
-        terms = {}
-        for m, c in packed_minor(R, C).items():
-            items, keys = [], []
-            for g, key, at in fields:
-                e = m >> at & mask
-                if e:
-                    items.append((g, e))
-                    keys.append(key)
-            terms[Monomial(items, keys)] = Fraction(c, lcm)
-        return Expr.make(_nonzero_poly(terms), den)
+            content *= contents[r]
+        return Expr.make(ring.unpack(packed_minor(R, C).items(), content), den)
 
     return minor
 

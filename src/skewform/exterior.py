@@ -506,7 +506,7 @@ class _Parser:
             rhs = self.parse_unary()
             if t.kind == "*":
                 if isinstance(v, Expr) and isinstance(rhs, Expr):
-                    v = v * rhs
+                    v = _printable(v * rhs, "product", t)
                 elif isinstance(v, Expr):
                     v = rhs.scale(v)
                 elif isinstance(rhs, Expr):
@@ -519,7 +519,7 @@ class _Parser:
                 if rhs.is_zero_struct():
                     raise ExprSyntaxError("division by zero", t.pos)
                 if isinstance(v, Expr):
-                    v = v / rhs
+                    v = _printable(v / rhs, "quotient", t)
                 else:
                     v = v.scale(Expr.const(1) / rhs)
         return v
@@ -599,6 +599,18 @@ class _Parser:
                 raise ExprSyntaxError(f"{name!r} is not a declared scalar{hint}", t.pos)
             return Expr.var(name)
         raise ExprSyntaxError(f"unexpected token {t.value!r}", t.pos)
+
+
+def _printable(v, what, t):
+    """v, unless it is a rational constant past the interpreter's int-to-str
+    digit limit: a product or quotient of printable constants has at most
+    twice their digits, so it is built first and refused at its operator."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and v.is_rational_constant():
+        q = v.as_fraction()
+        if math.log10(max(abs(q.numerator), q.denominator)) >= limit:
+            raise ExprSyntaxError(f"constant {what} has more than {limit} digits", t.pos)
+    return v
 
 
 def parse_form(text, chart, variables=None):

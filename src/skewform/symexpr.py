@@ -16,8 +16,11 @@ verdict is flagged as probabilistic.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 import random
+import sys
 from fractions import Fraction
 
 
@@ -67,8 +70,8 @@ class Atom:
     def __init__(self, fn, arg):
         self.fn = fn
         self.arg = arg
-        self._key = ("b", fn, arg.sort_key())
-        self._hash = hash(self._key)
+        self._key = _AtomKey(("b", fn, arg.sort_key()))
+        self._hash = self._key.hash
 
     def sort_key(self):
         return self._key
@@ -81,6 +84,42 @@ class Atom:
 
     def __repr__(self):
         return f"{self.fn}({self.arg})"
+
+
+class _AtomKey(tuple):
+    """An atom's sort key ("b", fn, argument key), ordered and equal as that
+    tuple.  Its hash is cached and compared first, so two unequal keys of
+    nested atoms differ at once instead of at the bottom of their nesting,
+    and `<` goes through a bounded memo: a key is compared with its
+    neighbours' arguments once, not once per level above them, so merging
+    and sorting nested atoms costs their depth, not its square."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self.hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        if other.__class__ is _AtomKey:
+            return self is other or (self.hash == other.hash and tuple.__eq__(self, other))
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        return _key_less(self, other)
+
+    def __gt__(self, other):
+        return _key_less(other, self)
+
+
+@functools.lru_cache(maxsize=4096)
+def _key_less(a, b):
+    return tuple.__lt__(a, b)
 
 
 _VAR_KEYS = {}
@@ -398,43 +437,118 @@ class NotExactDivision(ExprError):
     pass
 
 
-def _poly_divexact(f, g):
-    """Exact polynomial quotient f/g; raises NotExactDivision otherwise.
+class _PackedRing:
+    """Packed exponent vectors over one ring (Monagan and Pearce 2007).
 
-    Leading-term elimination terminates because the remainder's leading
-    monomial strictly decreases in the (well-founded) monomial order.
-    """
+    A monomial is one int with a field per generator, in `_gen_key` order,
+    the first highest, so ints order as monomials do in lex order and a
+    product of monomials is an int sum.  A field holds its generator's
+    bound, the sum over `groups` of the group's largest exponent, plus a
+    guard bit that is zero in every packed monomial: m - n is negative or
+    sets a guard bit exactly when an exponent of n exceeds that of m.  A
+    packed polynomial is an `{int: int}` dict."""
+
+    __slots__ = ("fields", "guards", "bound")
+
+    def __init__(self, groups):
+        bounds = {}
+        for polys in groups:
+            tops = {}
+            for p in polys:
+                for m in p.terms:
+                    for g, e in m.items:
+                        if tops.get(g, 0) < e:
+                            tops[g] = e
+            for g, e in tops.items():
+                bounds[g] = bounds.get(g, 0) + e
+        self.fields, at, self.guards, self.bound = [], 0, 0, 0
+        for g in sorted(bounds, key=_gen_key, reverse=True):
+            width = bounds[g].bit_length() + 1
+            self.guards |= 1 << (at + width - 1)
+            self.bound |= bounds[g] << at
+            self.fields.append((g, _gen_key(g), at, (1 << width) - 1))
+            at += width
+        self.fields.reverse()
+
+    def pack(self, polys):
+        """(c, [P]): the Polys are the positive Fraction c times the packed
+        integer polynomials P, whose coefficients are setwise coprime."""
+        shift = {g: at for g, _, at, _ in self.fields}
+        scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        packed = [
+            {sum(e << shift[g] for g, e in m.items): c.numerator * (scale // c.denominator) for m, c in p.terms.items()}
+            for p in polys
+        ]
+        content = math.gcd(*(c for p in packed for c in p.values())) or 1
+        if content != 1:
+            packed = [{m: c // content for m, c in p.items()} for p in packed]
+        return Fraction(content, scale), packed
+
+    def unpack(self, terms, q=1):
+        """The Poly q times the packed (monomial, coefficient) terms, in order."""
+        q = Fraction(q)
+        n, d, out = q.numerator, q.denominator, {}
+        for m, c in terms:
+            items, keys = [], []
+            for g, key, at, mask in self.fields:
+                e = m >> at & mask
+                if e:
+                    items.append((g, e))
+                    keys.append(key)
+            out[Monomial(items, keys)] = Fraction(c * n, d)
+        return _nonzero_poly(out)
+
+    def divexact(self, f, g):
+        """f / g for packed integer f and primitive g, so an exact quotient
+        has integer coefficients (Gauss's lemma), by heap division: the
+        remainder's monomials wait in a heap instead of a search for the
+        largest at every step.  A quotient monomial must divide (no guard
+        bit) and stay within the bound less g's degrees field by field, which
+        ends an inexact division early.  Raises NotExactDivision otherwise."""
+        cap = self.bound
+        for _, _, at, mask in self.fields:
+            cap -= max(m >> at & mask for m in g) << at
+        lead = max(g)
+        lc, guards = g[lead], self.guards
+        rest = [(m, c) for m, c in g.items() if m != lead]
+        rem, quotient = dict(f), {}
+        heap = [-m for m in rem]
+        heapq.heapify(heap)
+        while heap:
+            m = -heapq.heappop(heap)
+            c = rem.pop(m, 0)
+            if not c:
+                continue  # cancelled after it was pushed
+            q = m - lead
+            qc, r = divmod(c, lc)
+            if r or q < 0 or q & guards:
+                raise NotExactDivision("inexact polynomial division")
+            if q > cap or (cap - q) & guards:
+                raise NotExactDivision("inexact polynomial division")
+            quotient[q] = qc
+            for n, d in rest:
+                n += q
+                s = rem.get(n, 0) - qc * d
+                if s:
+                    if n not in rem:
+                        heapq.heappush(heap, -n)
+                    rem[n] = s
+                else:
+                    del rem[n]
+        return quotient
+
+
+def _poly_divexact(f, g):
+    """Exact polynomial quotient f/g; raises NotExactDivision otherwise."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
         return _POLY_ZERO
     if g.is_const():
         return f.scale(1 / g.const_value())
-    gm, gc = g.leading()
-    quotient = {}
-    rem = dict(f.terms)
-    while rem:
-        rm = max(rem)
-        rc = rem[rm]
-        qm = rm.divide(gm)
-        if qm is None:
-            raise NotExactDivision("inexact polynomial division")
-        qc = rc / gc
-        quotient[qm] = quotient.get(qm, _F0) + qc
-        for m, c in g.terms.items():
-            key = qm.mul(m)
-            s = rem.get(key, _F0) - qc * c
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return Poly(quotient)
-
-
-def _frac_content(p):
-    """Positive rational c with p/c having integer, setwise-coprime coeffs."""
-    d, ints = p._int_terms()
-    return Fraction(math.gcd(*(c for _, c in ints)) or 1, d)
+    ring = _PackedRing([(f, g)])
+    (cf, (fp,)), (cg, (gp,)) = ring.pack((f,)), ring.pack((g,))
+    return ring.unpack(ring.divexact(fp, gp).items(), cf / cg)
 
 
 def _to_univar(p, x):
@@ -535,56 +649,11 @@ class _HeuristicFailed(Exception):
     pass
 
 
-def _poly_maxnorm(p):
-    return max((abs(c.numerator) for c in p.terms.values()), default=0)
-
-
-def _poly_eval_gen(p, gen, a):
-    """Substitute the integer a for one generator (exact)."""
-    res = {}
-    for m, c in p.terms.items():
-        e, mm = m.split(gen)
-        val = c * a ** e
-        s = res.get(mm, _F0) + val
-        if s:
-            res[mm] = s
-        else:
-            res.pop(mm, None)
-    return Poly(res)
-
-
-def _poly_smod(p, m):
-    """Coefficientwise symmetric remainder mod m (integer coefficients)."""
-    res = {}
-    for mono, c in p.terms.items():
-        r = ((c.numerator + m // 2) % m) - m // 2
-        if r:
-            res[mono] = Fraction(r)
-    return Poly(res)
-
-
-def _gcd_interpolate(he, xi, x):
-    """Recover the generator-x structure from base-xi digits of he's
-    integer coefficients (symmetric remainders)."""
-    h = _POLY_ZERO
-    e = he
-    k = 0
-    while not e.is_zero():
-        digit = _poly_smod(e, xi)
-        if not digit.is_zero():
-            xk = Poly({(Monomial.of(x, k) if k else _MONO_UNIT): Fraction(1)})
-            h = h + digit * xk
-        e = (e - digit).scale(Fraction(1, xi))
-        k += 1
-        if k > 1024:
-            return None
-    return h
-
-
-def _gcdheu(f, g, gens):
-    """(h, f/h, g/h) for the heuristic GCD h, found by evaluation at a large
-    integer point and digitwise reconstruction; exact when it returns, as
-    the two quotients are its verifying trial division.
+def _gcdheu(f, g, ring, level=0):
+    """(h, f/h, g/h) for the heuristic GCD h of packed integer polynomials
+    (Char, Geddes and Gonnet 1989): the generator of this level is put to a
+    large integer xi, h is read off the symmetric base-xi digits of the gcd
+    one level down, and its verifying division by f and g makes it exact.
 
     The common integer content is pulled out per level and multiplied back
     onto the verified result: after extraction the sought gcd is
@@ -592,34 +661,48 @@ def _gcdheu(f, g, gens):
     step safe, while the lower level's content carries this level's
     encoded coefficients.
     """
-    cf = _frac_content(f)
-    cg = _frac_content(g)
-    common = Fraction(math.gcd(cf.numerator, cg.numerator))
-    f, g = f.scale(1 / common), g.scale(1 / common)
-    if not gens or f.is_const() or g.is_const():
+    common = math.gcd(*f.values(), *g.values())
+    f = {m: c // common for m, c in f.items()}
+    g = {m: c // common for m, c in g.items()}
+    if 0 in f and len(f) == 1 or 0 in g and len(g) == 1:
         # after extraction the residual gcd of a constant with anything is 1
-        return Poly.const(common), f, g
-    x = gens[0]
-    norm = min(_poly_maxnorm(f), _poly_maxnorm(g))
-    xi = 2 * norm + 29
+        return {0: common}, f, g
+    _, _, at, mask = ring.fields[level]
+    bound = ring.bound >> at & mask
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(8):
-        fe = _poly_eval_gen(f, x, xi)
-        ge = _poly_eval_gen(g, x, xi)
-        if not fe.is_zero() and not ge.is_zero():
-            try:
-                he = _gcdheu(fe, ge, gens[1:])[0]
-            except _HeuristicFailed:
-                he = None
-            if he is not None and not he.is_zero():
-                h = _gcd_interpolate(he, xi, x)
-                if h is not None and not h.is_zero():
-                    h = h.scale(1 / _frac_content(h))
-                    try:
-                        return h.scale(common), _poly_divexact(f, h), _poly_divexact(g, h)
-                    except NotExactDivision:
-                        pass
+        fe, ge = _packed_eval(f, at, mask, xi), _packed_eval(g, at, mask, xi)
+        try:
+            he = _gcdheu(fe, ge, ring, level + 1)[0] if fe and ge else {}
+            h, half = {}, xi // 2
+            for m, c in he.items():
+                k = 0
+                while c:
+                    digit = (c + half) % xi - half
+                    if digit:
+                        if k > bound:
+                            raise NotExactDivision("a digit past the degree bound")
+                        h[m + (k << at)] = digit
+                    c, k = (c - digit) // xi, k + 1
+            if h:
+                content = math.gcd(*h.values())
+                h = {m: c // content for m, c in h.items()}
+                fq, gq = ring.divexact(f, h), ring.divexact(g, h)
+                return {m: c * common for m, c in h.items()}, fq, gq
+        except (_HeuristicFailed, NotExactDivision):
+            pass
         xi = 73794 * xi // 27011 + 7
     raise _HeuristicFailed
+
+
+def _packed_eval(p, at, mask, xi):
+    """The packed p with xi put for the generator of the field at `at`."""
+    out = {}
+    for m, c in p.items():
+        e = m >> at & mask
+        m -= e << at
+        out[m] = out.get(m, 0) + c * xi ** e
+    return {m: c for m, c in out.items() if c}
 
 
 def poly_cofactors(f, g):
@@ -627,9 +710,10 @@ def poly_cofactors(f, g):
     over Q, monic in the monomial order.  A gcd of 1 returns f and g
     themselves.
 
-    Heuristic evaluate-and-reconstruct GCD first, whose verifying trial
-    division yields the cofactors, with the primitive PRS as a correctness
-    fallback that divides once at its end.
+    The heuristic GCD runs on the primitive parts packed once; its
+    verifying division yields the cofactors, and h, f/h and g/h are
+    unpacked only when h is not 1.  The primitive PRS is the correctness
+    fallback and divides once at its end.
     """
     if f.is_const() or g.is_const():
         if not (f.terms and g.terms):
@@ -638,18 +722,21 @@ def poly_cofactors(f, g):
     if f == g:
         c = Poly.const(f.leading()[1])
         return _gcd_normalize(f), c, c
-    gens = sorted(f.generators() | g.generators(), key=_gen_key)
-    cf, cg = _frac_content(f), _frac_content(g)
-    fi, gi = f.scale(1 / cf), g.scale(1 / cg)
+    ring = _PackedRing([(f, g)])
+    (cf, (fp,)), (cg, (gp,)) = ring.pack((f,)), ring.pack((g,))
     try:
-        h, fq, gq = _gcdheu(fi, gi, gens)
+        h, fq, gq = _gcdheu(fp, gp, ring)
     except _HeuristicFailed:
-        h = _prs_gcd(fi, gi)
-        fq, gq = _poly_divexact(fi, h), _poly_divexact(gi, h)
-    if h.is_const():
+        h = _prs_gcd(f, g)
+        if h.is_const():
+            return _POLY_ONE, f, g
+        return h, _poly_divexact(f, h), _poly_divexact(g, h)
+    if 0 in h and len(h) == 1:
         return _POLY_ONE, f, g
+    # ascending lex: the term order of h's level-by-level reconstruction
+    h = ring.unpack(sorted(h.items()))
     _, lc = h.leading()
-    return h.scale(1 / lc), fq.scale(cf * lc), gq.scale(cg * lc)
+    return h.scale(1 / lc), ring.unpack(fq.items(), cf * lc), ring.unpack(gq.items(), cg * lc)
 
 
 def poly_gcd(f, g):
@@ -1513,12 +1600,15 @@ def _poly_text(p):
     for m in sorted(p.terms, reverse=True):
         c = p.terms[m]
         mono = _mono_text(m)
-        if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}*{mono}"
+        try:
+            if not mono:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = mono
+            else:
+                body = f"{abs(c)}*{mono}"
+        except ValueError as exc:  # past the interpreter's int-to-str digit limit
+            raise ExprError(f"coefficient has more than {sys.get_int_max_str_digits()} digits to print") from exc
         pieces.append(("-" if c < 0 else "+", body))
     return _join_signed(pieces)
 

@@ -1,0 +1,161 @@
+"""Property and differential tests of the packed integer kernel: the
+heuristic gcd with its cofactors, and exact division.
+
+Random polynomials have 1-8 generators, one of them an atom, and exponents
+up to 40, so the packed fields run from one bit to six.  The gcd is
+checked against its defining identities and against sympy's; the division
+against the leading-term division over Fractions that it replaced.
+
+The heuristic gcd's integers grow with the product, over the generators
+both operands share, of one plus the smaller degree (each level
+evaluates one generator at a point about the size of the level below), so
+gcd examples past a budget on that product are discarded.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from skewform.symexpr import (  # noqa: E402
+    Monomial,
+    NotExactDivision,
+    Poly,
+    _gcd_normalize,
+    _poly_divexact,
+    parse_expr,
+    poly_cofactors,
+)
+
+ATOM = next(iter(parse_expr("sin(x + 1)").num.generators()))
+GENERATORS = ["x", "y", "z", "u", "v", "w", "t", ATOM]
+# derandomized, and no example database written to the working tree
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def rings(draw):
+    """1-8 generators, the atom always among them."""
+    names = draw(st.lists(st.sampled_from(GENERATORS[:-1]), max_size=7, unique=True))
+    return names + [ATOM]
+
+
+@st.composite
+def polys(draw, gens, max_terms=3, max_exp=40):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        powers = draw(st.lists(st.tuples(st.sampled_from(gens), st.integers(1, max_exp)), max_size=3))
+        m = Monomial.unit()
+        for g, e in dict(powers).items():
+            m = m.mul(Monomial.of(g, e))
+        c = Fraction(draw(st.integers(1, 30)) * draw(st.sampled_from([-1, 1])), draw(st.integers(1, 6)))
+        terms[m] = terms.get(m, 0) + c
+    p = Poly(terms)
+    return p if p.terms else Poly.one()
+
+
+def _reference_divexact(f, g):
+    """Leading-term division over Fractions, the largest remainder monomial
+    searched for at every step: the division the packed one replaced."""
+    gm, gc = g.leading()
+    quotient, rem = {}, dict(f.terms)
+    while rem:
+        rm = max(rem)
+        qm = rm.divide(gm)
+        if qm is None:
+            raise NotExactDivision("inexact")
+        qc = rem[rm] / gc
+        quotient[qm] = qc
+        for m, c in g.terms.items():
+            key = qm.mul(m)
+            s = rem.get(key, 0) - qc * c
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    return Poly(quotient)
+
+
+@st.composite
+def triples(draw):
+    gens = draw(rings())
+    return tuple(draw(polys(gens)) for _ in range(3))
+
+
+def _degrees(p):
+    out = {}
+    for m in p.terms:
+        for g, e in m.items:
+            out[g] = max(out.get(g, 0), e)
+    return out
+
+
+def _gcd_operands(fgh):
+    """f*h and g*h, within the heuristic gcd's budget."""
+    f, g, h = fgh
+    F, G = f * h, g * h
+    fd, gd = _degrees(F), _degrees(G)
+    assume(math.prod(1 + min(e, gd[x]) for x, e in fd.items() if x in gd) <= 5000)
+    return F, G
+
+
+@SETTINGS
+@given(triples())
+def test_cofactors_multiply_back_and_are_monic(fgh):
+    F, G = _gcd_operands(fgh)
+    h = fgh[2]
+    gcd, fq, gq = poly_cofactors(F, G)
+    assert gcd * fq == F and gcd * gq == G
+    assert gcd.leading()[1] == 1
+    _poly_divexact(gcd, _gcd_normalize(h))  # h divides the gcd
+
+
+@settings(SETTINGS, max_examples=20)
+@given(triples())
+def test_gcd_matches_sympy(fgh):
+    sympy = pytest.importorskip("sympy")
+    F, G = _gcd_operands(fgh)
+    symbols = [sympy.Symbol(g if isinstance(g, str) else "atom") for g in GENERATORS]
+
+    def to_sympy(p):
+        terms = {tuple(dict(m.items).get(g, 0) for g in GENERATORS): sympy.QQ(c.numerator, c.denominator) for m, c in p.terms.items()}
+        return sympy.Poly.from_dict(terms, *symbols, domain=sympy.QQ)
+
+    terms = {}
+    for exps, c in to_sympy(F).gcd(to_sympy(G)).terms():
+        m = Monomial.unit()
+        for g, e in zip(GENERATORS, exps):
+            if e:
+                m = m.mul(Monomial.of(g, e))
+        terms[m] = Fraction(int(c.numerator), int(c.denominator))
+    assert poly_cofactors(F, G)[0] == _gcd_normalize(Poly(terms))
+
+
+@SETTINGS
+@given(triples())
+def test_divexact_inverts_multiplication(fgh):
+    q, g, _ = fgh
+    assert _poly_divexact(q * g, g) == q
+    if not g.is_const():
+        with pytest.raises(NotExactDivision):
+            _poly_divexact(q * g + Poly.one(), g)
+
+
+@SETTINGS
+@given(triples())
+def test_divexact_matches_fraction_division(fgh):
+    """Unrelated operands: most divisions are inexact, and their quotients
+    run past the bounds of the ring the operands pack into."""
+    f, g, _ = fgh
+    if g.is_const():
+        return
+    try:
+        want = _reference_divexact(f, g)
+    except NotExactDivision:
+        with pytest.raises(NotExactDivision):
+            _poly_divexact(f, g)
+    else:
+        assert _poly_divexact(f, g) == want

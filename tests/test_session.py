@@ -382,6 +382,32 @@ class TestCli:
         assert proc.stderr.startswith(f"error: line 3: {message}")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "text, check_code, message",
+        [
+            ("10^3000 * 10^3000", 2, "constant product has more than"),
+            ("(10^2000*x + 1)^3", 1, "coefficient has more than"),
+        ],
+        ids=["constant-product", "polynomial-coefficient"],
+    )
+    def test_oversized_products_end_without_traceback(self, tmp_path, text, check_code, message):
+        """A product of printable constants past the digit limit is refused at
+        its operator (exit 2); a coefficient that passes it inside a
+        polynomial is a recorded error of its command (exit 1).  `eval`
+        prints either as a diagnostic."""
+        f = tmp_path / "big.sf"
+        f.write_text(f"chart x y\n# constants\neval {text}\n")
+        proc = run_cli("check", str(f), "--json")
+        assert proc.returncode == check_code and "Traceback" not in proc.stderr
+        if check_code == 2:
+            assert proc.stderr.startswith(f"error: line 3: {message}")
+        else:
+            (record,) = json.loads(proc.stdout)["commands"]
+            assert record["ok"] is False and record["error"].startswith(message)
+        proc = run_cli("eval", text)
+        assert proc.returncode == 2 and proc.stderr.startswith(f"error: {message}")
+        assert "Traceback" not in proc.stderr
+
     def test_check_diagnostic_exit(self, tmp_path):
         f = tmp_path / "broken.sf"
         f.write_text("chart x y\nclassify 0 => missing\n")
@@ -462,3 +488,16 @@ class TestCli:
         deeper = run_cli("eval", "(" + chain + ")")
         assert deeper.returncode == 2
         assert "nested deeper" in deeper.stderr
+
+
+def test_check_closed_on_deeply_nested_atoms():
+    """`check closed` on a 100-deep sin(...(x)...) * d[y] (ROADMAP D6): its d
+    multiplies out a monomial of 100 nested atoms, whose generator keys
+    must compare without walking their whole nesting each time.  No timing
+    is asserted."""
+    inner = "x"
+    for _ in range(100):
+        inner = f"sin({inner})"
+    text = f"chart x y\nform w = {inner}*d[y]\ncheck closed w expect false\n"
+    report = run_session(parse_session(text, "deep.sf"))
+    assert report["ok"] is True

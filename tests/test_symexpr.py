@@ -195,6 +195,64 @@ class TestCanonicalForm:
         assert h == _POLY_ONE and fh is f and gh is g
         assert bool(failed) == (path == "prs")
 
+    def test_heuristic_cofactors_run_packed(self, monkeypatch):
+        """On a pair shaped like the denominators of geometry-dense ops, the
+        heuristic gcd, its verifying division and the unpacking build no
+        Monomial product and split none, and take no PRS fallback."""
+        from skewform import symexpr
+
+        f = parse_expr("(x*y + 3)*(x^2 - 2*y + 1)*(sin(x) + 2)*(y - 2)").num
+        g = parse_expr("(3*x*y + 9)*(x + 1)^2*(y - 2)/5").num
+        calls = {"mul": 0, "split": 0, "prs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Monomial, "mul", counted("mul", Monomial.mul))
+        monkeypatch.setattr(Monomial, "split", counted("split", Monomial.split))
+        monkeypatch.setattr(symexpr, "_prs_gcd", counted("prs", symexpr._prs_gcd))
+        h, fh, gh = symexpr.poly_cofactors(f, g)
+        assert calls == {"mul": 0, "split": 0, "prs": 0}
+        monkeypatch.undo()
+        assert h == parse_expr("(x*y + 3)*(y - 2)").num
+        assert h * fh == f and h * gh == g
+
+    def test_inexact_division_stops_at_the_quotient_bound(self, monkeypatch):
+        """x^9*y^9*z^9 / (x + y + z): the first quotient term x^8*y^9*z^9 is
+        past the bound less the divisor's degrees (9 - 1 for y), so the
+        division ends at its first step.  The guard bits alone keep every
+        product inside its fields but let each exponent run to about twice
+        its bound: 29 steps here."""
+        import heapq
+
+        from skewform.symexpr import NotExactDivision, _poly_divexact
+
+        steps = []
+        pop = heapq.heappop
+        monkeypatch.setattr(heapq, "heappop", lambda heap: steps.append(1) or pop(heap))
+        with pytest.raises(NotExactDivision):
+            _poly_divexact(parse_expr("x^9*y^9*z^9").num, parse_expr("x + y + z").num)
+        assert len(steps) == 1
+
+    def test_division_refuses_a_laurent_quotient(self):
+        """(x^2 + x) / (x*y + y) is x/y.  Its first quotient term needs y^-1,
+        which borrows from x's field; the guard bit refuses it rather than
+        reading the borrow as a large exponent of y."""
+        from skewform.symexpr import NotExactDivision, _poly_divexact
+
+        with pytest.raises(NotExactDivision):
+            _poly_divexact(parse_expr("x^2 + x").num, parse_expr("x*y + y").num)
+
+    def test_constant_quotient_past_the_digit_limit(self):
+        with pytest.raises(ExprSyntaxError, match="constant quotient has more than"):
+            parse_expr("10^3000 / 10^-3000")
+        # built before it is judged: operands that cancel are no error
+        assert parse_expr("10^3000 / 10^3000") == Expr.const(1)
+
     def test_equal_products_cancel(self):
         import random
 
