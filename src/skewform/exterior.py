@@ -554,7 +554,10 @@ class _Parser:
                 digits = math.log10(max(abs(q.numerator), q.denominator))  # per unit of |n|
                 if limit and digits and abs(n) > limit / digits:
                     raise ExprSyntaxError(f"constant power has more than {limit} digits", t.pos)
-            return base ** n
+            try:
+                return base ** n
+            except ExprError as exc:  # past the power budget, refused before it is built
+                raise ExprSyntaxError(str(exc), t.pos) from exc
         return base
 
     def parse_primary(self):

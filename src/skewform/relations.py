@@ -13,9 +13,13 @@ expressions whose vanishing enables such degenerate transformations
 
 from __future__ import annotations
 
+import math
 import random
+from functools import reduce
+from itertools import accumulate
 
-from .symexpr import Expr, ExprError, PoleError, ZERO, all_zero, compile_numeric, zero_test
+from .symexpr import Expr, ExprError, PoleError, ZERO, all_zero, compile_numeric, poly_gcd, zero_test
+from .symexpr import _poly_diff_expr, _poly_divexact, _symmetric_digits
 from .exterior import (
     Chart,
     ChartError,
@@ -348,7 +352,7 @@ def poisson_bracket(f, g, pairing):
 def degenerate_scan(exprs, kind, chart, pairing=None, seed=0, tol=SCAN_TOL, lines=SCAN_LINES):
     """Build the functional expression for the requested kind, decide
     whether it vanishes identically, and otherwise sample points on its
-    zero locus by bisection along seeded random lines."""
+    zero locus along seeded lines (`_sample_zero_locus`)."""
     if kind == "jacobian":
         flat = list(exprs)
         if len(flat) != chart.dim:
@@ -383,55 +387,144 @@ def degenerate_scan(exprs, kind, chart, pairing=None, seed=0, tol=SCAN_TOL, line
 
 
 def _sample_zero_locus(F, seed, tol, lines):
-    names = sorted(F.variables())
-    if not names:
-        return []
+    """The first point of F = 0 from s = -5 to 5 on each seeded line
+    (B + s D) / 1000, |B| <= 3000, |D| <= 1000 integers, kept when |F| < tol.
+    F without atoms is restricted exactly, so a line without a point meets no
+    zero of its numerator; F with atoms is sampled on a grid."""
+    names = sorted(F.variables())  # none for a constant F: every line is skipped
     f = compile_numeric(F, names)
+    restrict = None if F.has_atoms() else _line_restriction(_squarefree_part(F.num), names)
     rng = random.Random(f"skewform-scan:{seed}:{F}")
     points = []
     for _ in range(lines):
-        base = [rng.uniform(-3.0, 3.0) for _ in names]
-        direction = [rng.uniform(-1.0, 1.0) for _ in names]
-        if all(abs(d) < 1e-12 for d in direction):
+        B = [rng.randrange(-3000, 3001) for _ in names]
+        D = [rng.randrange(-1000, 1001) for _ in names]
+        if not any(D):
             continue
+        base, direction = [b / 1000 for b in B], [d / 1000 for d in D]
         value = f.line(base, direction)
-        samples = 33
-        prev_s = -5.0
         try:
-            prev_v = value(prev_s)
+            root = _grid_first_root(value, tol) if restrict is None else _first_root(restrict(B, D), value, tol)
         except (PoleError, OverflowError):
-            continue
-        for k in range(1, samples + 1):
-            s_cur = -5.0 + 10.0 * k / samples
-            try:
-                v_cur = value(s_cur)
-            except (PoleError, OverflowError):
-                prev_s, prev_v = s_cur, None
-                continue
-            if prev_v is not None and prev_v * v_cur <= 0 and (prev_v != 0 or v_cur != 0):
-                try:
-                    root, froot = _bisect(value, prev_s, s_cur, prev_v, tol)
-                except (PoleError, OverflowError):
-                    break  # the bisection stepped into a gap of F's domain: abandon the line
-                if abs(froot) < tol:
-                    points.append({v: base[i] + root * direction[i] for i, v in enumerate(names)})
-                break
-            prev_s, prev_v = s_cur, v_cur
+            continue  # the refinement or the root stepped into a gap of F's domain
+        if root and abs(root[1]) < tol:
+            points.append({v: base[i] + root[0] * direction[i] for i, v in enumerate(names)})
     return points
 
 
-def _bisect(value, lo, hi, flo, tol):
-    """(root, value(root)) for a sign change of value on [lo, hi], where
-    value(lo) = flo: at most 200 halvings, stopping early once |value| < tol
-    or the interval is narrower than 1e-15."""
+def _grid_first_root(value, tol):
+    """(s, value(s)) refined at the first sign change of value over 33 even
+    steps of [-5, 5], or None; a pole or an overflow skips its sample, or the
+    line when it is the first."""
+    prev_v = None
+    for k in range(34):
+        s_cur = -5.0 + 10.0 * k / 33
+        try:
+            v_cur = value(s_cur)
+        except (PoleError, OverflowError):
+            if not k:
+                return None
+            prev_v = None
+            continue
+        if prev_v is not None and prev_v * v_cur <= 0 and (prev_v != 0 or v_cur != 0):
+            return _refine(value, prev_s, s_cur, prev_v, v_cur, tol)
+        prev_s, prev_v = s_cur, v_cur
+    return None
+
+
+def _squarefree_part(p):
+    """p / gcd(p, its partial derivatives): p's distinct irreducible factors (Yun 1976)."""
+    h = reduce(poly_gcd, (_poly_diff_expr(p, v).num for v in sorted(p.variables())), p)
+    return p if h.is_const() else _poly_divexact(p, h)
+
+
+def _line_restriction(p, names):
+    """(B, D) -> the integer coefficients u_0, u_1, ... of U(t) = L 1000^d
+    p((B + (10t - 5) D) / 1000), d = deg p, L the lcm of p's denominators:
+    U(2^K) is the homogenized p at X_i = B_i - 5 D_i + 10 D_i 2^K, read off in
+    symmetric base-2^K digits (Kronecker).  As |B_i - 5 D_i| + |10 D_i| <=
+    18000 on every scan line, each |u_k| < 2^(K-1) for the K set here."""
+    L, d = math.lcm(*(c.denominator for c in p.terms.values())), p.total_degree()
+    terms = [(int(c * L) * 1000 ** (d - m.degree), [(names.index(g), e) for g, e in m.items]) for m, c in p.terms.items()]
+    K = sum(abs(c) * 18000 ** sum(e for _, e in factors) for c, factors in terms).bit_length() + 1
+
+    def restrict(B, D):
+        X = [b - 5 * dd + (10 * dd << K) for b, dd in zip(B, D)]
+        total = 0
+        for c, factors in terms:
+            for i, e in factors:
+                c *= X[i] ** e
+            total += c
+        return _symmetric_digits(total, 1 << K) or [0]
+
+    return restrict
+
+
+def _first_root(u, value, tol):
+    """(s, value(s)) for the smallest root t in [0, 1) of the integer polynomial u
+    (coefficients from the constant term up, the last nonzero), s = -5 + 10t, or None.
+    Vincent-Collins-Akritas bisection (Collins and Akritas 1976), left half first: the
+    node of [c / 2^k, (c + 1) / 2^k] holds p(x) = 2^(kn) u((c + x) / 2^k), whose roots
+    in (0, 1) Descartes' rule bounds by the sign variations of (x + 1)^n p(1 / (x + 1)).
+    A repeated root is never isolated: a node of width 2^-48 with two variations has two
+    roots within its width (the two-circle theorem), and yields its left end.  An isolated
+    root is refined on p in s; where |value| is not below tol there, as where rounding
+    in p's float values is large against its slope, the node is halved again, to depth 8."""
+    stack = [(u, 0, 0)]
+    while stack:
+        p, c, k = stack.pop()
+        s = -5.0 + 10.0 * c / (1 << k)  # the node's left end
+        if not p[0]:  # a root there, every root left of it ruled out
+            return s, value(s)
+        while not sum(p):  # p(1) = 0, at t = 1 or a split point: p / (x - 1)
+            p = list(accumulate(reversed(p[1:])))[::-1]
+        signs = [a < 0 for a in _taylor_shift(p[::-1]) if a]
+        variations = sum(x != y for x, y in zip(signs, signs[1:]))  # zero coefficients carry no sign
+        if variations == 1:
+            scale = 1 << max(map(abs, p)).bit_length()
+            coeffs, w = [a / scale for a in reversed(p)], float(1 << k)
+
+            def horner(s):  # p at x = 2^k t - c
+                x, v = ((s + 5.0) * w - 10 * c) / 10, 0.0
+                for a in coeffs:
+                    v = v * x + a
+                return v
+
+            r = _refine(horner, s, -5.0 + 10.0 * (c + 1) / w, p[0] / scale, sum(p) / scale, 0.0)[0]
+            if abs(v := value(r)) < tol or k >= 8:
+                return r, v
+        if variations:
+            if k == 48:
+                return s, value(s)
+            n = len(p) - 1
+            left = [a << (n - i) for i, a in enumerate(p)]  # 2^n p(x / 2)
+            right = _taylor_shift(left)  # 2^n p((x + 1) / 2)
+            stack.append((right, 2 * c + 1, k + 1))
+            stack.append((left, 2 * c, k + 1))
+    return None
+
+
+def _taylor_shift(p):
+    """The coefficients of p(x + 1)."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p
+
+
+def _refine(value, a, b, fa, fb, tol):
+    """(root, value(root)) for a sign change of value on [a, b], fa = value(a), fb = value(b), by
+    Illinois regula falsi: the secant point replaces b; a is kept with its value halved unless the
+    sign changes between b and it.  At most 200 steps, ending at a value 0 or below tol, or a bracket under 1e-15."""
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = value(mid)
-        if abs(fmid) < tol or hi - lo < 1e-15:
-            return mid, fmid  # the midpoint of [lo, hi] is mid itself
-        if flo * fmid <= 0:
-            hi = mid
+        c = b - fb * (b - a) / (fb - fa)
+        fc = value(c)
+        if not fc or abs(fc) < tol or abs(b - a) < 1e-15:
+            break
+        if (fc < 0) != (fb < 0):
+            a, fa = b, fb
         else:
-            lo, flo = mid, fmid
-    root = 0.5 * (lo + hi)
-    return root, value(root)
+            fa *= 0.5
+        b, fb = c, fc
+    return c, fc

@@ -384,8 +384,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def leading(self):
@@ -674,16 +675,13 @@ def _gcdheu(f, g, ring, level=0):
         fe, ge = _packed_eval(f, at, mask, xi), _packed_eval(g, at, mask, xi)
         try:
             he = _gcdheu(fe, ge, ring, level + 1)[0] if fe and ge else {}
-            h, half = {}, xi // 2
+            h = {}
             for m, c in he.items():
-                k = 0
-                while c:
-                    digit = (c + half) % xi - half
+                for k, digit in enumerate(_symmetric_digits(c, xi)):
                     if digit:
                         if k > bound:
                             raise NotExactDivision("a digit past the degree bound")
                         h[m + (k << at)] = digit
-                    c, k = (c - digit) // xi, k + 1
             if h:
                 content = math.gcd(*h.values())
                 h = {m: c // content for m, c in h.items()}
@@ -693,6 +691,16 @@ def _gcdheu(f, g, ring, level=0):
             pass
         xi = 73794 * xi // 27011 + 7
     raise _HeuristicFailed
+
+
+def _symmetric_digits(c, xi):
+    """The digits d_k in [-(xi // 2), xi - xi // 2) of c = sum d_k xi^k, the last nonzero."""
+    half, digits = xi // 2, []
+    while c:
+        digit = (c + half) % xi - half
+        digits.append(digit)
+        c = (c - digit) // xi
+    return digits
 
 
 def _packed_eval(p, at, mask, xi):
@@ -952,6 +960,10 @@ class Expr:
             if self.num.is_zero():
                 raise ZeroDivisionError("zero to a negative power")
             return self._reciprocal() ** -n
+        for p in (self.num, self.den):
+            size = _power_size(p, n)
+            if size > POWER_BUDGET:
+                raise ExprError(f"power too large: its size estimate {size} passes the budget {POWER_BUDGET}")
         # powers of coprime polynomials are coprime, and of a monic one monic
         return Expr(self.num ** n, self.den ** n, _canonical=True)
 
@@ -1008,6 +1020,29 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({self})"
+
+
+POWER_BUDGET = 1 << 20
+
+
+def _power_size(p, n):
+    """An estimate of the cost of p^n, n >= 1: N(m)^2 for m = ceil(n / 2),
+    about the products of its largest multiplication, plus N(n) times n
+    times (p's total degree + coefficient bits + bits of T), about its
+    size.  N(m), the term count of p^m for a T-term p, is at most the
+    multinomial count C(m + T - 1, T - 1) and at most the product over
+    generators of (m * degree + 1)."""
+    tops, bits = {}, 0
+    for m, c in p.terms.items():
+        for g, e in m.items:
+            if tops.get(g, 0) < e:
+                tops[g] = e
+        bits = max(bits, c.numerator.bit_length() + c.denominator.bit_length())
+    count = len(p.terms)
+    if not count:
+        return 0
+    terms = lambda m: min(math.comb(m + count - 1, count - 1), math.prod(m * e + 1 for e in tops.values()))  # noqa: E731
+    return terms((n + 1) // 2) ** 2 + terms(n) * n * (p.total_degree() + bits + count.bit_length())
 
 
 ZERO = Expr(_POLY_ZERO, _POLY_ONE, _canonical=True)

@@ -2,6 +2,7 @@
 the demos run and print their pinned output, and the package neither loads
 nor needs numpy."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from skewform.cli import main
+from skewform.symexpr import parse_expr
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -47,12 +49,35 @@ def test_golden_scan_report_bytes(name, monkeypatch, capsys):
     and Poisson scans.  Their zero points are floats, each polynomial summed
     term by term in descending `Monomial.sort_key()` order whatever order its
     `terms` dict was built in, so these bytes pin the float operations of
-    the numeric evaluator and of the scan's bisection."""
+    the numeric evaluator and of the scan's root finding."""
     monkeypatch.chdir(ROOT)
     code = main(["check", f"tests/data/{name}.sf", "--json", "--seed", "5"])
     out = capsys.readouterr().out
     assert code == 0
     assert out == (ROOT / "tests" / "data" / f"{name}.json").read_text()
+
+
+def _scan_records(node):
+    if isinstance(node, dict):
+        if "zero_points" in node and "expression" in node:
+            yield node
+        for value in node.values():
+            yield from _scan_records(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _scan_records(value)
+
+
+@pytest.mark.parametrize("name", ["golden_session", "golden_scans", "golden_scans_poisson"])
+def test_golden_scan_points_lie_on_their_locus(name):
+    """Every zero point pinned in a golden report is on its scan's locus:
+    |F| < tolerance there, F re-parsed from the record's expression."""
+    records = list(_scan_records(json.loads((ROOT / "tests" / "data" / f"{name}.json").read_text())))
+    assert any(r["zero_points"] for r in records)
+    for record in records:
+        F = parse_expr(record["expression"])
+        for pt in record["zero_points"]:
+            assert abs(F.eval({v: float(c) for v, c in pt.items()})) < record["tolerance"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -1,5 +1,6 @@
-"""Property and differential tests of the packed integer kernel: the
-heuristic gcd with its cofactors, and exact division.
+"""Property and differential tests of the packed integer kernel (the
+heuristic gcd with its cofactors, and exact division) and of the scan's
+exact root isolation.
 
 Random polynomials have 1-8 generators, one of them an atom, and exponents
 up to 40, so the packed fields run from one bit to six.  The gcd is
@@ -10,6 +11,10 @@ The heuristic gcd's integers grow with the product, over the generators
 both operands share, of one plus the smaller degree (each level
 evaluates one generator at a point about the size of the level below), so
 gcd examples past a budget on that product are discarded.
+
+The scan's isolation takes integer polynomials of degree at most 8,
+products of powers of linear factors and of quadratics irreducible over
+Q, and its smallest root in [0, 1) is checked against sympy's.
 """
 
 import math
@@ -20,6 +25,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from skewform.relations import _first_root  # noqa: E402
 from skewform.symexpr import (  # noqa: E402
     Monomial,
     NotExactDivision,
@@ -159,3 +165,49 @@ def test_divexact_matches_fraction_division(fgh):
             _poly_divexact(f, g)
     else:
         assert _poly_divexact(f, g) == want
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def root_polys(draw):
+    """Coefficients, from the constant term up, of a product of factors
+    (a t - b)^k, roots b / a around [0, 1], and irreducible quadratics."""
+    u = [draw(st.sampled_from([-3, -1, 1, 2]))]
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(1, 12)), draw(st.integers(-2, 14))
+            factor = [-b, a]
+            for _ in range(draw(st.integers(1, 3)) - 1):
+                factor = _int_mul(factor, [-b, a])
+        else:
+            a, b, c = draw(st.integers(1, 9)), draw(st.integers(-12, 12)), draw(st.integers(-9, 9))
+            disc = b * b - 4 * a * c
+            assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+            factor = [c, b, a]
+        u = _int_mul(u, factor)
+    assume(len(u) <= 9)
+    return u
+
+
+@settings(SETTINGS, max_examples=100)
+@given(root_polys())
+def test_first_root_matches_sympy(u):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    roots = []
+    for (lo, hi), _ in sympy.Poly(list(reversed(u)), t).intervals(eps=Fraction(1, 10 ** 14)):
+        r = (Fraction(int(lo.p), int(lo.q)) + Fraction(int(hi.p), int(hi.q))) / 2
+        if 0 <= r < 1:
+            roots.append(r)
+    found = _first_root(u, lambda s: 0.0, 1.0)  # (s, 0.0), s = -5 + 10t
+    if not roots:
+        assert found is None
+    else:
+        assert found is not None and abs((found[0] + 5) / 10 - float(min(roots))) <= 1e-12

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -408,6 +409,90 @@ class TestDegenerateScan:
         r1 = degenerate_scan(*args, pairing=[("q", "p")], seed=7)
         r2 = degenerate_scan(*args, pairing=[("q", "p")], seed=7)
         assert r1.to_json() == r2.to_json()
+
+    def test_even_order_locus_yields_points(self):
+        """3 (x + y - 1)^2 (x - 2y)^2 never changes sign, so a sign-change
+        search finds none of its zeros; the exact path restricts its
+        squarefree part and finds them.  Each point is checked exactly."""
+        F = parse_expr("3*(x+y-1)^2*(x-2*y)^2")
+        rep = degenerate_scan([[F]], "determinant", ch2, seed=5)
+        assert rep.zero_points
+        for pt in rep.zero_points:
+            assert abs(F.eval({v: Fraction(c) for v, c in pt.items()})) <= rep.tol
+
+    def test_squarefree_part(self):
+        F = parse_expr("3*(x+y-1)^2*(x-2*y)^3*(x+1)")
+        ratio = Expr.make(relations._squarefree_part(F.num)) / parse_expr("(x+y-1)*(x-2*y)*(x+1)")
+        assert ratio.is_rational_constant()
+
+    def test_rational_F_scans_its_numerator(self):
+        rep = degenerate_scan([[parse_expr("x/(x*y - 1)")]], "determinant", ch2, seed=3)
+        assert rep.zero_points
+        assert all(abs(pt["x"]) < 1e-9 for pt in rep.zero_points)
+
+    def test_line_restriction_matches_subst(self):
+        """U(t) = L 1000^d p(x(t)) on x_i(t) = (B_i + (10t - 5) D_i) / 1000,
+        by Kronecker substitution, against Expr.subst of the line."""
+        rng = random.Random(91)
+        names = ["x", "y", "z"]
+        t = Expr.var("t")
+        for _ in range(20):
+            F = random_poly(rng, names, max_terms=5, max_total_deg=5, coeff_range=9) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            F = F + Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * random_poly(rng, names)
+            if F.is_rational_constant():
+                continue
+            restrict = relations._line_restriction(F.num, names)
+            for _ in range(3):
+                B = [rng.randint(-3000, 3000) for _ in names]
+                D = [rng.randint(-1000, 1000) for _ in names]
+                line = {v: Expr.const(Fraction(b - 5 * d, 1000)) + Expr.const(Fraction(10 * d, 1000)) * t for v, b, d in zip(names, B, D)}
+                scale = math.lcm(*(c.denominator for c in F.num.terms.values())) * 1000 ** F.num.total_degree()
+                U = sum((Expr.const(c) * t ** k for k, c in enumerate(restrict(B, D))), Expr.const(0))
+                assert U == F.subst(line) * scale
+
+    @pytest.mark.parametrize(
+        "u, root",
+        [
+            ([-2, 15, -36, 27], 1 / 3),  # (3t - 1)^2 (3t - 2): a repeated root first
+            ([2, -15, 36, -27], 1 / 3),  # its negative
+            ([-3, 5, 2], 0.5),  # (2t - 1)(t + 3): a root on the first split point
+            ([1, -4, 4], 0.5),  # (2t - 1)^2, on a split point and repeated
+            ([0, -1, 3], 0.0),  # t (3t - 1): a root at t = 0
+            ([1, 0, 1], None),  # t^2 + 1: no real root
+            ([2, -3, 1], None),  # (t - 1)(t - 2): t = 1 lies outside [0, 1)
+            ([-1, 5, -7, 3], 1 / 3),  # (3t - 1)(t - 1)^2: the repeated root at t = 1 is deflated
+            ([-1, 0, 2], 2 ** -0.5),  # 2t^2 - 1: an irrational root, isolated and refined
+            ([0, 0, 0], 0.0),  # U = 0: the line lies in the locus
+            ([7], None),
+        ],
+    )
+    def test_first_root(self, u, root):
+        found = relations._first_root(u, lambda s: 0.0, 1.0)  # (s, 0.0), s = -5 + 10t
+        assert found == root if root is None else abs((found[0] + 5) / 10 - root) < 1e-12
+
+    def test_refused_roots_are_isolated_again(self):
+        """A degree-12 Jacobian: near some of its roots the float values of a
+        wide node's polynomial round too coarsely for |F| < tol at the refined
+        point.  Isolating such a root again in smaller nodes keeps 54 of the
+        64 lines' points at seed 2; refining once kept 35."""
+        fs = [parse_expr("-x^6*y - x^4*y^3 + 3*x^2*y^3 - 2*x^3*y + 2*x*y + 3*x + 2"), parse_expr("-2*x^6*y - x^4*y^3 - x*y^3 - 2*x^2*y + 1")]
+        rep = degenerate_scan(fs, "jacobian", ch2, seed=2)
+        assert rep.expression.num.total_degree() == 12
+        assert len(rep.zero_points) >= 50
+
+    def test_illinois_halves_the_kept_end(self):
+        """s^3 - 1e-3 on [0, 10] is convex: plain regula falsi keeps s = 10
+        and creeps in from the left; halving the kept end's value ends in a
+        few steps."""
+        calls = []
+
+        def value(s):
+            calls.append(s)
+            return s ** 3 - 1e-3
+
+        root, froot = relations._refine(value, 0.0, 10.0, -1e-3, 1000 - 1e-3, 1e-9)
+        assert abs(froot) < 1e-9 and abs(root - 0.1) < 1e-6
+        assert len(calls) < 40
 
 
 class TestDualClosureOn:

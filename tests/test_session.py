@@ -382,6 +382,16 @@ class TestCli:
         assert proc.stderr.startswith(f"error: line 3: {message}")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("text", ["(x+1)^100000", "(x^2+1)^-3000"])
+    def test_powers_past_the_budget_are_refused_before_they_are_built(self, tmp_path, text):
+        """Both took longer than 5 s each before the power budget; they now
+        exit at once."""
+        f = tmp_path / "big.sf"
+        f.write_text(f"chart x y\n# powers\neval {text}\n")
+        proc = run_cli("check", str(f), timeout=5)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: line 3: power too large")
+
     @pytest.mark.parametrize(
         "text, check_code, message",
         [

@@ -247,6 +247,21 @@ class TestCanonicalForm:
         with pytest.raises(NotExactDivision):
             _poly_divexact(parse_expr("x^2 + x").num, parse_expr("x*y + y").num)
 
+    def test_power_budget(self):
+        """A power is estimated before it is built: past the budget it is an
+        ExprError, and a syntax error at its "^" in the parser."""
+        from skewform.symexpr import POWER_BUDGET, _power_size
+
+        x1 = parse_expr("x + 1")
+        assert _power_size(x1.num, 100000) > POWER_BUDGET
+        with pytest.raises(ExprError, match="power too large"):
+            x1 ** 100000
+        with pytest.raises(ExprSyntaxError, match="power too large") as info:
+            parse_expr("(x^2+1)^-3000")
+        assert info.value.pos == 7
+        assert (x1 ** 400).num.total_degree() == 400  # within the budget, and exact
+        assert parse_expr("x^400").num.total_degree() == 400
+
     def test_constant_quotient_past_the_digit_limit(self):
         with pytest.raises(ExprSyntaxError, match="constant quotient has more than"):
             parse_expr("10^3000 / 10^-3000")
