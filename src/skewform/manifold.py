@@ -170,24 +170,29 @@ def evo_d(a, c):
     return DiffForm(chart, a.degree + 1, res)
 
 
-def riemann(c):
-    """Curvature R[r][s][m][n] = R^r_{smn} of the connection:
-    dG^r_{ns}/dx^m - dG^r_{ms}/dx^n + G^r_{ml} G^l_{ns} - G^r_{nl} G^l_{ms}.
-    It is antisymmetric in m, n for any connection, so each pair m < n is
-    computed once and R^r_{snm} = -R^r_{smn}."""
+def _riemann_component(c, r, s, mu, nu):
+    """R^r_{s mu nu}: dG^r_{nu s}/dx^mu - dG^r_{mu s}/dx^nu
+    + G^r_{mu l} G^l_{nu s} - G^r_{nu l} G^l_{mu s}."""
     chart = c.chart
-    n = chart.dim
+    val = c.gamma[r][nu][s].diff(chart.variables[mu]) - c.gamma[r][mu][s].diff(chart.variables[nu])
+    for lam in range(chart.dim):
+        t1 = c.gamma[r][mu][lam] * c.gamma[lam][nu][s]
+        t2 = c.gamma[r][nu][lam] * c.gamma[lam][mu][s]
+        val = val + t1 - t2
+    return val
+
+
+def riemann(c):
+    """Curvature R[r][s][m][n] = R^r_{smn} of the connection, each
+    component from `_riemann_component`.  It is antisymmetric in m, n for
+    any connection, so each pair m < n is computed once and
+    R^r_{snm} = -R^r_{smn}."""
+    n = c.chart.dim
     out = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for r in range(n):
         for s in range(n):
             for mu, nu in combinations(range(n), 2):
-                val = c.gamma[r][nu][s].diff(chart.variables[mu]) - c.gamma[r][mu][s].diff(
-                    chart.variables[nu]
-                )
-                for lam in range(n):
-                    t1 = c.gamma[r][mu][lam] * c.gamma[lam][nu][s]
-                    t2 = c.gamma[r][nu][lam] * c.gamma[lam][mu][s]
-                    val = val + t1 - t2
+                val = _riemann_component(c, r, s, mu, nu)
                 out[r][s][mu][nu] = val
                 out[r][s][nu][mu] = -val
     return out
@@ -201,12 +206,15 @@ def bianchi_first_check(c, seed=0):
     By R's antisymmetry in its last two indices the cyclic sum is
     antisymmetric in all three: it vanishes on a repeated index, and any
     order of distinct indices gives +-the sum on the increasing order, which
-    is the only one tested."""
+    is the only one tested: R^r_{smn} - R^r_{msn} + R^r_{nsm} for s < m < n.
+    It reads only the R^r_{fab} with a < b and f not in {a, b}, builds each
+    once as its sum is reached, and builds none in 2D, which has no triple."""
     if not c.is_symmetric():
         raise TorsionError("first Bianchi check requires a symmetric (torsion-free) connection")
-    R = riemann(c)
     cyclic = (
-        R[r][s][mu][nu] + R[r][mu][nu][s] + R[r][nu][s][mu]
+        _riemann_component(c, r, s, mu, nu)
+        - _riemann_component(c, r, mu, s, nu)
+        + _riemann_component(c, r, nu, s, mu)
         for r in range(c.chart.dim)
         for s, mu, nu in combinations(range(c.chart.dim), 3)
     )

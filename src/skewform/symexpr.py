@@ -820,11 +820,11 @@ class Expr:
 
     @staticmethod
     def const(q):
-        return Expr.make(Poly.const(q))
+        return _polynomial_expr(Poly.const(q))
 
     @staticmethod
     def var(name):
-        return Expr.make(Poly.gen(name))
+        return _polynomial_expr(Poly.gen(name))
 
     # -- predicates --------------------------------------------------------
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -444,15 +444,41 @@ class TestCurvatureSymmetries:
         rng = random.Random(144)
         ch4 = self.CHARTS[2]
         c = random_symmetric_connection(rng, ch4, max_terms=2, max_total_deg=1)
+        component = manifold._riemann_component
         for r, (s, mu, nu) in [(0, (0, 1, 2)), (3, (0, 2, 3)), (3, (1, 2, 3))]:
-            R = riemann(c)
-            # antisymmetric in (mu, nu) still, but the cyclic sum on (s, mu, nu) is x
-            R[r][s][mu][nu] = R[r][s][mu][nu] + Expr.var("x")
-            R[r][s][nu][mu] = R[r][s][nu][mu] - Expr.var("x")
-            monkeypatch.setattr(manifold, "riemann", lambda _c, R=R: R)
+            # R^r_{s mu nu} + x, so the cyclic sum on (s, mu, nu) is x
+            def faulty(c_, *index, bad=(r, s, mu, nu)):
+                return component(c_, *index) + (Expr.var("x") if index == bad else ZERO)
+
+            monkeypatch.setattr(manifold, "_riemann_component", faulty)
             assert bianchi_first_check(c) is False
-        monkeypatch.setattr(manifold, "riemann", riemann)
+        monkeypatch.setattr(manifold, "_riemann_component", component)
         assert bianchi_first_check(c) is True
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_bianchi_builds_only_the_components_it_reads(self, monkeypatch, k):
+        component = manifold._riemann_component
+        asked = []
+
+        def counted(c_, *index):
+            asked.append(index)
+            return component(c_, *index)
+
+        monkeypatch.setattr(manifold, "_riemann_component", counted)
+        chart = self.CHARTS[k]
+        n = chart.dim
+        c = random_symmetric_connection(random.Random(145 + k), chart, max_terms=2, max_total_deg=1)
+        assert bianchi_first_check(c) is True
+        pairs = list(combinations(range(n), 2))
+        want = [(r, f, a, b) for r in range(n) for f in range(n) for a, b in pairs if f not in (a, b)]
+        assert sorted(asked) == want
+        assert len(asked) == {2: 0, 3: 9, 4: 48}[n]
+        asked.clear()
+        rng = random.Random(148 + k)
+        torsionful = torsion_fixture()[1] if n == 2 else random_connection(rng, chart, max_terms=2, max_total_deg=1)
+        with pytest.raises(TorsionError):
+            bianchi_first_check(torsionful)
+        assert asked == []
 
 
 class TestConnectionConstruction:

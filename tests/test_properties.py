@@ -15,18 +15,27 @@ gcd examples past a budget on that product are discarded.
 The scan's isolation takes integer polynomials of degree at most 8,
 products of powers of linear factors and of quadratics irreducible over
 Q, and its smallest root in [0, 1) is checked against sympy's.
+
+Geometry: on random symmetric polynomial connections in dims 2-4 the first
+Bianchi check holds, and so does every cyclic sum of the full curvature
+tensor, over all index orders; on random polynomial forms of degree 0-2,
+d(d w) = 0.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from skewform.exterior import Chart, DiffForm, ext_d  # noqa: E402
+from skewform.manifold import Connection, bianchi_first_check, riemann  # noqa: E402
 from skewform.relations import _first_root  # noqa: E402
 from skewform.symexpr import (  # noqa: E402
+    Expr,
     Monomial,
     NotExactDivision,
     Poly,
@@ -211,3 +220,58 @@ def test_first_root_matches_sympy(u):
         assert found is None
     else:
         assert found is not None and abs((found[0] + 5) / 10 - float(min(roots))) <= 1e-12
+
+
+CHARTS = {n: Chart(["x", "y", "z", "w"][:n]) for n in (2, 3, 4)}
+
+
+@st.composite
+def polynomials(draw, names, max_terms=2, max_exp=2):
+    """A polynomial Expr in the chart's variables, possibly zero."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        m = Monomial.unit()
+        for v in names:
+            e = draw(st.integers(0, max_exp))
+            if e:
+                m = m.mul(Monomial.of(v, e))
+        terms[m] = terms.get(m, 0) + Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+    return Expr.make(Poly({m: c for m, c in terms.items() if c}))
+
+
+@st.composite
+def symmetric_connections(draw):
+    chart = CHARTS[draw(st.integers(2, 4))]
+    n = chart.dim
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for r in range(n):
+        for a in range(n):
+            for b in range(a, n):
+                gamma[r][a][b] = gamma[r][b][a] = draw(polynomials(chart.variables))
+    return Connection(chart, gamma)
+
+
+@SETTINGS
+@given(symmetric_connections())
+def test_bianchi_holds_with_every_cyclic_sum(c):
+    R = riemann(c)
+    sums = [
+        R[r][s][mu][nu] + R[r][mu][nu][s] + R[r][nu][s][mu]
+        for r, s, mu, nu in product(range(c.chart.dim), repeat=4)
+    ]
+    assert all(e.is_zero_struct() for e in sums)
+    assert bianchi_first_check(c) is True
+
+
+@st.composite
+def polynomial_forms(draw):
+    chart = CHARTS[draw(st.integers(2, 4))]
+    degree = draw(st.integers(0, 2))
+    basis = combinations(range(chart.dim), degree)
+    return DiffForm(chart, degree, {idx: draw(polynomials(chart.variables, max_terms=3, max_exp=3)) for idx in basis})
+
+
+@SETTINGS
+@given(polynomial_forms())
+def test_d_of_d_is_zero(w):
+    assert ext_d(ext_d(w)).is_zero_form()

@@ -1128,6 +1128,20 @@ def test_constant_factor_makes_no_monomial_products(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "build, arg, poly",
+    [(Expr.const, q, Poly.const(q)) for q in (0, 1, Fraction(-3, 7), 10**50)] + [(Expr.var, "x", Poly.gen("x"))],
+    ids=["0", "1", "-3/7", "10^50", "x"],
+)
+def test_const_and_var_build_what_make_builds(build, arg, poly):
+    """Expr.const and Expr.var skip Expr.make, and give its Expr: the same
+    numerator and denominator, in the same `terms` order."""
+    got, want = build(arg), Expr.make(poly)
+    assert got == want
+    assert list(got.num.terms.items()) == list(want.num.terms.items())
+    assert list(got.den.terms.items()) == list(want.den.terms.items())
+
+
 def _general_add(a, b, sign):
     return Expr.make(a.num * b.den + b.num * a.den if sign > 0 else a.num * b.den - b.num * a.den, a.den * b.den)
 
