@@ -18,9 +18,14 @@ from .symexpr import (
     ExprError,
     ExprSyntaxError,
     FUNCTIONS,
+    PoleError,
+    Poly,
     ZERO,
+    _POLY_ONE,
     _join_signed,
     _make_atom_expr,
+    _polynomial_expr,
+    _require_power_budget,
     all_zero,
     integrate_unit_interval,
     parse_expr,
@@ -435,12 +440,16 @@ MAX_NESTING = 100
 class _Parser:
     """The one expression parser, typed over the scalar token stream.
 
-    Over a chart, values are scalar Exprs or DiffForms, with `d[x]`
-    introducing basis differentials.  With no chart (`symexpr.parse_expr`)
-    every value is a scalar, `d[` is a syntax error and a bare `d` is an
-    ordinary identifier.  Parentheses, function calls, unary minus and `^`
-    each nest one level deeper; past MAX_NESTING levels the input is
-    rejected before the recursion can exhaust the interpreter stack.
+    Over a chart, values are scalars or DiffForms, with `d[x]` introducing
+    basis differentials.  With no chart (`symexpr.parse_expr`) every value
+    is a scalar, `d[` is a syntax error and a bare `d` is an ordinary
+    identifier.  A scalar subtree is a Poly until it meets an atom, a
+    divisor that is not constant or a differential, and an Expr from there
+    on: Poly arithmetic is the arithmetic that Expr runs on polynomials, so
+    both give the same terms in the same order.  Parentheses, function
+    calls, unary minus and `^` each nest one level deeper; past MAX_NESTING
+    levels the input is rejected before the recursion can exhaust the
+    interpreter stack.
     """
 
     def __init__(self, tokens, chart, variables=None):
@@ -472,7 +481,7 @@ class _Parser:
             raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", t.pos)
 
     def parse(self):
-        v = self.parse_sum()
+        v = _scalar(self.parse_sum())
         end = self.next()
         if end.kind != "end":
             raise ExprSyntaxError(f"trailing input {end.value!r}", end.pos)
@@ -490,7 +499,9 @@ class _Parser:
 
     def _combine_additive(self, a, b, t):
         neg = t.kind == "-"
-        if isinstance(a, Expr) and isinstance(b, Expr):
+        if not (isinstance(a, Poly) and isinstance(b, Poly)):
+            a, b = _scalar(a), _scalar(b)
+        if not (isinstance(a, DiffForm) or isinstance(b, DiffForm)):
             return a - b if neg else a + b
         a = DiffForm.scalar(self.chart, a) if isinstance(a, Expr) else a
         b = DiffForm.scalar(self.chart, b) if isinstance(b, Expr) else b
@@ -504,6 +515,14 @@ class _Parser:
         while self.peek().kind in ("*", "/"):
             t = self.next()
             rhs = self.parse_unary()
+            if isinstance(v, Poly) and isinstance(rhs, Poly):
+                if t.kind == "*":
+                    v = _printable(v * rhs, "product", t)
+                    continue
+                if rhs.is_const() and rhs.terms:
+                    v = _printable(v.scale(1 / rhs.const_value()), "quotient", t)
+                    continue
+            v, rhs = _scalar(v), _scalar(rhs)
             if t.kind == "*":
                 if isinstance(v, Expr) and isinstance(rhs, Expr):
                     v = _printable(v * rhs, "product", t)
@@ -543,19 +562,23 @@ class _Parser:
                 if not (isinstance(base, DiffForm) and isinstance(rhs, DiffForm)):
                     raise ExprSyntaxError("'^' joins two differentials (wedge) or a scalar and an integer", t.pos)
                 return wedge(base, rhs)
+            rhs, e = _scalar(rhs), _scalar(base)
             if not rhs.is_integer_constant():
                 raise ExprSyntaxError("exponent must be an integer constant", t.pos)
             n = int(rhs.as_fraction())
-            if n < 0 and base.is_zero_struct():
+            if n < 0 and e.is_zero_struct():
                 raise ExprSyntaxError("zero to a negative power", t.pos)
-            if base.is_rational_constant():
+            if e.is_rational_constant():
                 # refused before it is built, as it could not be printed (no limit before Python 3.10.7)
-                q, limit = base.as_fraction(), getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                q, limit = e.as_fraction(), getattr(sys, "get_int_max_str_digits", lambda: 0)()
                 digits = math.log10(max(abs(q.numerator), q.denominator))  # per unit of |n|
                 if limit and digits and abs(n) > limit / digits:
                     raise ExprSyntaxError(f"constant power has more than {limit} digits", t.pos)
             try:
-                return base ** n
+                if isinstance(base, Poly) and n >= 0:
+                    _require_power_budget(n, base, _POLY_ONE)  # Expr's budget, which counts the denominator 1
+                    return base ** n
+                return e ** n
             except ExprError as exc:  # past the power budget, refused before it is built
                 raise ExprSyntaxError(str(exc), t.pos) from exc
         return base
@@ -564,10 +587,10 @@ class _Parser:
         t = self.next()
         if t.kind == "number":
             try:
-                value = Fraction(t.value)
+                value = Fraction(t.value) if "." in t.value else int(t.value)
             except ValueError as exc:  # past the interpreter's int-to-str digit limit
                 raise ExprSyntaxError(f"number literal has more than {sys.get_int_max_str_digits()} digits", t.pos) from exc
-            return Expr.const(value)
+            return Poly.const(value)
         if t.kind == "(":
             self.descend(t)
             v = self.parse_sum()
@@ -591,17 +614,25 @@ class _Parser:
                 arg = self.parse_sum()
                 self.depth -= 1
                 self.expect(")")
-                if not isinstance(arg, Expr):
+                if isinstance(arg, DiffForm):
                     raise ExprSyntaxError(f"{t.value} expects a scalar argument", t.pos)
-                return _make_atom_expr(t.value, arg)
+                try:
+                    return _make_atom_expr(t.value, _scalar(arg))
+                except PoleError as exc:  # ln of a nonpositive constant
+                    raise ExprSyntaxError(str(exc), t.pos) from exc
             name = t.value
             if self.variables is not None and name not in self.variables:
                 hint = ""
                 if len(name) > 1 and name.startswith("d") and name[1:] in self.variables:
                     hint = f"; differentials are written d[{name[1:]}]"
                 raise ExprSyntaxError(f"{name!r} is not a declared scalar{hint}", t.pos)
-            return Expr.var(name)
+            return Poly.gen(name)
         raise ExprSyntaxError(f"unexpected token {t.value!r}", t.pos)
+
+
+def _scalar(v):
+    """The Expr of a Poly value; an Expr or a DiffForm as it is."""
+    return _polynomial_expr(v) if isinstance(v, Poly) else v
 
 
 def _printable(v, what, t):
@@ -609,8 +640,9 @@ def _printable(v, what, t):
     digit limit: a product or quotient of printable constants has at most
     twice their digits, so it is built first and refused at its operator."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and v.is_rational_constant():
-        q = v.as_fraction()
+    e = _scalar(v)
+    if limit and e.is_rational_constant():
+        q = e.as_fraction()
         if math.log10(max(abs(q.numerator), q.denominator)) >= limit:
             raise ExprSyntaxError(f"constant {what} has more than {limit} digits", t.pos)
     return v

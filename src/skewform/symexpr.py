@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -960,10 +962,7 @@ class Expr:
             if self.num.is_zero():
                 raise ZeroDivisionError("zero to a negative power")
             return self._reciprocal() ** -n
-        for p in (self.num, self.den):
-            size = _power_size(p, n)
-            if size > POWER_BUDGET:
-                raise ExprError(f"power too large: its size estimate {size} passes the budget {POWER_BUDGET}")
+        _require_power_budget(n, self.num, self.den)
         # powers of coprime polynomials are coprime, and of a monic one monic
         return Expr(self.num ** n, self.den ** n, _canonical=True)
 
@@ -1032,6 +1031,9 @@ def _power_size(p, n):
     size.  N(m), the term count of p^m for a T-term p, is at most the
     multinomial count C(m + T - 1, T - 1) and at most the product over
     generators of (m * degree + 1)."""
+    if len(p.terms) == 1:  # N(m) = 1
+        ((m, c),) = p.terms.items()
+        return 1 + n * (m.degree + c.numerator.bit_length() + c.denominator.bit_length() + 1)
     tops, bits = {}, 0
     for m, c in p.terms.items():
         for g, e in m.items:
@@ -1043,6 +1045,14 @@ def _power_size(p, n):
         return 0
     terms = lambda m: min(math.comb(m + count - 1, count - 1), math.prod(m * e + 1 for e in tops.values()))  # noqa: E731
     return terms((n + 1) // 2) ** 2 + terms(n) * n * (p.total_degree() + bits + count.bit_length())
+
+
+def _require_power_budget(n, *polys):
+    """Refuse p^n for each p of polys, before it is built, past the budget."""
+    for p in polys:
+        size = _power_size(p, n)
+        if size > POWER_BUDGET:
+            raise ExprError(f"power too large: its size estimate {size} passes the budget {POWER_BUDGET}")
 
 
 ZERO = Expr(_POLY_ZERO, _POLY_ONE, _canonical=True)
@@ -1116,9 +1126,26 @@ def _atom_derivative(atom):
 
 
 def _poly_diff_expr(p, v):
-    """Derivative of a Poly as an Expr (atoms pull in the chain rule)."""
-    total = ZERO
-    for m, c in p.terms.items():
+    """Derivative of a Poly as an Expr (atoms pull in the chain rule).
+
+    A monomial lists its variables before its atoms.  Up to the first term
+    with an atom the derivative is built in one dict: the terms that hold v
+    have distinct quotients by v, so this is the sum that adding them as
+    Exprs builds, in the same order.  From that term on they are Exprs."""
+    res, unit = {}, Monomial.of(v)
+    terms = iter(p.terms.items())
+    for m, c in terms:
+        items = m.items
+        if items and not isinstance(items[-1][0], str):
+            break
+        for g, e in items:
+            if g == v:
+                res[m.divide(unit)] = c * e
+                break
+    else:
+        return _polynomial_expr(_nonzero_poly(res))
+    total = _polynomial_expr(_nonzero_poly(res))
+    for m, c in itertools.chain(((m, c),), terms):
         for g, e in m.items:
             if isinstance(g, str):
                 if g != v:
@@ -1134,17 +1161,47 @@ def _poly_diff_expr(p, v):
     return total
 
 
+def _subst_generator(g, mapping):
+    """The Expr that the generator g becomes under mapping."""
+    if isinstance(g, str):
+        val = mapping.get(g)
+        return val if val is not None else Expr.var(g)
+    return _make_atom_expr(g.fn, g.arg.subst(mapping))
+
+
 def _poly_subst(p, mapping):
-    total = ZERO
-    for m, c in p.terms.items():
+    """p with its variables replaced by the Exprs of mapping, as an Expr.
+
+    While every value met is polynomial (an atom's always is), each term is
+    a product of Polys and the terms are summed in one dict: the loops that
+    Expr arithmetic runs on polynomials, in the same order.  From the first
+    rational value on, the terms are Exprs."""
+    res = {}
+    terms = iter(p.terms.items())
+    for m, c in terms:
+        term = _nonzero_poly({_MONO_UNIT: c})
+        for g, e in m.items:
+            val = _subst_generator(g, mapping)
+            if not val.den.is_const():
+                break
+            _require_power_budget(e, val.num, val.den)
+            term = term * val.num ** e
+        else:
+            for mt, ct in term.terms.items():
+                s = res.get(mt, _F0) + ct
+                if s:
+                    res[mt] = s
+                else:
+                    del res[mt]
+            continue
+        break
+    else:
+        return _polynomial_expr(_nonzero_poly(res))
+    total = _polynomial_expr(_nonzero_poly(res))
+    for m, c in itertools.chain(((m, c),), terms):
         term = Expr.const(c)
         for g, e in m.items:
-            if isinstance(g, str):
-                val = mapping.get(g)
-                gen_e = val if val is not None else Expr.var(g)
-            else:
-                gen_e = _make_atom_expr(g.fn, g.arg.subst(mapping))
-            term = term * gen_e ** e
+            term = term * _subst_generator(g, mapping) ** e
         total = total + term
     return total
 
@@ -1566,42 +1623,25 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, {self.pos})"
 
 
-_SINGLE = "+-*/^(),[]="
+# One pattern for every token, tried in this order: an operator; a number,
+# ASCII digits with at most one point (`5`, `5.`, `.5`, `1.25`); a word, a run
+# of characters for which str.isalnum() is true or `_` (what `\w` matches),
+# which is an identifier when it begins with a letter or `_`; and any other
+# character but whitespace, which is refused.  Whitespace between tokens is
+# skipped.
+_TOKEN = re.compile(r"([-+*/^(),\[\]=])|([0-9]+\.?[0-9]*|\.[0-9]+)|(\w+)|(\S)")
+_TOKEN_KINDS = (None, None, "number", "ident")
 
 
 def tokenize(text):
     """Tokenize expression text into NUMBER / IDENT / operator tokens."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            tokens.append(Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        k, value = m.lastindex, m[0]
+        if k == 4 or k == 3 and not (value[0].isalpha() or value[0] == "_"):
+            raise ExprSyntaxError(f"unexpected character {value[0]!r}", m.start())
+        tokens.append(Token(_TOKEN_KINDS[k] or value, value, m.start()))
+    tokens.append(Token("end", "", len(text)))
     return tokens
 
 

@@ -20,27 +20,42 @@ Geometry: on random symmetric polynomial connections in dims 2-4 the first
 Bianchi check holds, and so does every cyclic sum of the full curvature
 tensor, over all index orders; on random polynomial forms of degree 0-2,
 d(d w) = 0.
+
+The parser folds atom-free subtrees as Polys: on random atom-free
+expression trees it builds the Expr that Expr arithmetic builds, with the
+same terms in the same order.  The one-dict paths of `_poly_diff_expr` and
+`_poly_subst` are checked the same way against the Expr loops they replace,
+kept below as oracles.  With atoms, printing and parsing again gives the
+same Expr.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from skewform.exterior import Chart, DiffForm, ext_d  # noqa: E402
 from skewform.manifold import Connection, bianchi_first_check, riemann  # noqa: E402
 from skewform.relations import _first_root  # noqa: E402
 from skewform.symexpr import (  # noqa: E402
+    ONE,
+    ZERO,
     Expr,
+    ExprError,
     Monomial,
     NotExactDivision,
     Poly,
+    _atom_derivative,
     _gcd_normalize,
+    _make_atom_expr,
+    _poly_diff_expr,
     _poly_divexact,
+    _poly_subst,
     parse_expr,
     poly_cofactors,
 )
@@ -275,3 +290,139 @@ def polynomial_forms(draw):
 @given(polynomial_forms())
 def test_d_of_d_is_zero(w):
     assert ext_d(ext_d(w)).is_zero_form()
+
+
+# -- the parser's Poly folding, and the one-dict calculus paths ----------------
+
+LITERALS = ["0", "1", "2", "7", "12", "0.5", ".25", "3.", "1.75"]
+
+
+@st.composite
+def trees(draw, depth=4, atoms=False):
+    """(text, Expr built by Expr arithmetic) of a random expression tree:
+    literals and x, y, z under + - * / ^ and unary minus, and with `atoms`
+    sin, cos, exp and ln.  Every node is parenthesized."""
+    kinds = ["leaf", "leaf", "neg", "+", "-", "*", "/", "^"] + (["fn"] if atoms else [])
+    kind = draw(st.sampled_from(kinds)) if depth else "leaf"
+    if kind == "leaf":
+        if draw(st.booleans()):
+            name = draw(st.sampled_from(["x", "y", "z"]))
+            return name, Expr.var(name)
+        text = draw(st.sampled_from(LITERALS))
+        return text, Expr.const(Fraction(text))
+    a_text, a = draw(trees(depth - 1, atoms))
+    if kind == "neg":
+        return f"(-{a_text})", -a
+    if kind == "^":
+        n = draw(st.integers(-2 if not a.is_zero_struct() else 0, 3))
+        return f"({a_text})^{n}", a ** n
+    if kind == "fn":
+        fn = draw(st.sampled_from(["sin", "cos", "exp", "ln"]))
+        assume(not (fn == "ln" and a.is_rational_constant() and a.as_fraction() <= 0))
+        return f"{fn}({a_text})", _make_atom_expr(fn, a)
+    b_text, b = draw(trees(depth - 1, atoms))
+    if kind == "/":
+        assume(not b.is_zero_struct())
+        return f"({a_text} / {b_text})", a / b
+    return f"({a_text} {kind} {b_text})", {"+": a + b, "-": a - b, "*": a * b}[kind]
+
+
+def _same_terms(got, want):
+    assert got == want
+    assert list(got.num.terms.items()) == list(want.num.terms.items())
+    assert list(got.den.terms.items()) == list(want.den.terms.items())
+
+
+@settings(SETTINGS, max_examples=60)
+@given(trees())
+def test_parser_folds_atom_free_trees_as_expr_arithmetic_does(tree):
+    text, want = tree
+    _same_terms(parse_expr(text), want)
+
+
+@SETTINGS
+@given(trees(atoms=True))
+def test_print_then_parse_is_the_identity(tree):
+    _, e = tree
+    again = parse_expr(str(e))
+    assert again == e and str(again) == str(e)
+
+
+def _diff_oracle(p, v):
+    """`_poly_diff_expr` as an Expr loop: each term's derivative added to a
+    running Expr sum."""
+    total = ZERO
+    for m, c in p.terms.items():
+        for g, e in m.items:
+            if isinstance(g, str):
+                if g != v:
+                    continue
+                dgen = ONE
+            else:
+                darg = g.arg.diff(v)
+                if darg.is_zero_struct():
+                    continue
+                dgen = _atom_derivative(g) * darg
+            total = total + Expr.make(Poly({m.divide(Monomial.of(g)): c * e})) * dgen
+    return total
+
+
+def _subst_oracle(p, mapping):
+    """`_poly_subst` as an Expr loop: each term a product of Expr powers,
+    added to a running Expr sum."""
+    total = ZERO
+    for m, c in p.terms.items():
+        term = Expr.const(c)
+        for g, e in m.items:
+            if isinstance(g, str):
+                gen_e = mapping.get(g, Expr.var(g))
+            else:
+                gen_e = _make_atom_expr(g.fn, g.arg.subst(mapping))
+            term = term * gen_e ** e
+        total = total + term
+    return total
+
+
+@st.composite
+def diff_cases(draw):
+    """A Poly in x, y, z, atom-free or with the atom, and a variable."""
+    gens = ["x", "y", "z"] + ([ATOM] if draw(st.booleans()) else [])
+    return draw(polys(gens, max_terms=6, max_exp=6)), draw(st.sampled_from(["x", "y", "z"]))
+
+
+@SETTINGS
+@given(diff_cases())
+def test_diff_matches_the_expr_loop(case):
+    p, v = case
+    _same_terms(_poly_diff_expr(p, v), _diff_oracle(p, v))
+
+
+@st.composite
+def subst_cases(draw):
+    """A Poly in x, y, z (with the atom sin(x + 1) or not) and a mapping of
+    some of them to polynomials in u, v, or now and then to a quotient."""
+    gens = ["x", "y", "z"] + ([ATOM] if draw(st.booleans()) else [])
+    p = draw(polys(gens, max_terms=4, max_exp=3))
+    mapping = {}
+    shared = Expr.make(draw(polys(["u"], max_terms=2, max_exp=2)))  # so that terms cancel
+    for name in draw(st.lists(st.sampled_from(["x", "y", "z"]), unique=True)):
+        val = draw(st.sampled_from([shared, -shared])) if draw(st.booleans()) else Expr.make(draw(polys(["u", "v"], max_terms=3, max_exp=2)))
+        if draw(st.integers(0, 4)) == 0:
+            val = val / Expr.make(draw(polys(["u", "v"], max_terms=2, max_exp=2)))
+        mapping[name] = val
+    return p, mapping
+
+
+@SETTINGS
+@given(subst_cases())
+@example((parse_expr("x^2 + x*y + y^2 + x").num, {"x": parse_expr("u + 1"), "y": parse_expr("u - 1")}))
+@example((parse_expr("x*y - y + x^2*y").num, {"x": parse_expr("u"), "y": parse_expr("1/(u + 1)")}))
+def test_subst_matches_the_expr_loop(case):
+    p, mapping = case
+    try:
+        want = _subst_oracle(p, mapping)
+    except ExprError as exc:  # a pole of ln, or past the power budget: the same error
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _poly_subst(p, mapping)
+        return
+    _same_terms(_poly_subst(p, mapping), want)

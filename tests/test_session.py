@@ -382,12 +382,22 @@ class TestCli:
         assert proc.stderr.startswith(f"error: line 3: {message}")
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("text", ["(x+1)^100000", "(x^2+1)^-3000"])
-    def test_powers_past_the_budget_are_refused_before_they_are_built(self, tmp_path, text):
-        """Both took longer than 5 s each before the power budget; they now
-        exit at once."""
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "eval (x+1)^100000",
+            "eval (x^2+1)^-3000",
+            "form w = (2*x + y/3)^100000*d[y]",
+            "pseudo c(u): x = u, y = (u - 1)^100000",
+        ],
+        ids=["(x+1)^100000", "(x^2+1)^-3000", "form", "pseudo"],
+    )
+    def test_powers_past_the_budget_are_refused_before_they_are_built(self, tmp_path, line):
+        """The eval lines took longer than 5 s each before the power budget;
+        they now exit at once, and so do powers of a folded polynomial
+        inside a form or a pseudostructure."""
         f = tmp_path / "big.sf"
-        f.write_text(f"chart x y\n# powers\neval {text}\n")
+        f.write_text(f"chart x y\n# powers\n{line}\n")
         proc = run_cli("check", str(f), timeout=5)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: line 3: power too large")
@@ -397,8 +407,11 @@ class TestCli:
         [
             ("10^3000 * 10^3000", 2, "constant product has more than"),
             ("(10^2000*x + 1)^3", 1, "coefficient has more than"),
+            ("x + 10^3000 * (2*10^3000)", 2, "constant product has more than"),
+            ("10^3000 / (1/10^3000)", 2, "constant quotient has more than"),
+            ("x*y - (10^3000/3) / (7/10^3000)", 2, "constant quotient has more than"),
         ],
-        ids=["constant-product", "polynomial-coefficient"],
+        ids=["constant-product", "polynomial-coefficient", "product-in-a-sum", "constant-quotient", "quotient-in-a-sum"],
     )
     def test_oversized_products_end_without_traceback(self, tmp_path, text, check_code, message):
         """A product of printable constants past the digit limit is refused at
@@ -470,6 +483,21 @@ class TestCli:
         proc = run_cli("eval", "foo(x)")
         assert proc.returncode == 2
         assert "unknown function" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\u00b2", "unexpected character '\u00b2' (at position 0)"),
+            ("\u0663", "unexpected character '\u0663' (at position 0)"),
+            ("3\u0663", "unexpected character '\u0663' (at position 1)"),
+            ("x*ln(1-1)", "ln of a nonpositive constant (at position 2)"),
+        ],
+        ids=["superscript-two", "arabic-indic-three", "digit-after-a-number", "ln-of-zero"],
+    )
+    def test_eval_diagnostics_carry_a_position(self, text, message):
+        proc = run_cli("eval", text)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.strip() == f"error: {message}"
 
     @pytest.mark.parametrize(
         "line", ["form w = " + "(" * 3000 + "x" + ")" * 3000 + "*d[y]", "eval " + "x^" * 2000 + "2"]

@@ -74,6 +74,46 @@ class TestParse:
     def test_negative_exponent(self):
         assert parse_expr("x^-2") == 1 / x ** 2
 
+    @pytest.mark.parametrize("text, want", [("x^0", "1"), ("0^0", "1"), ("(x - y)^0*y", "y"), ("(2*x)^1/4", "1/2*x")])
+    def test_powers_of_folded_subtrees(self, text, want):
+        """A zero power is 1, as an Expr's is."""
+        assert str(parse_expr(text)) == want
+
+    @pytest.mark.parametrize(
+        "text, message, pos",
+        [
+            ("(x-x)^-1", "zero to a negative power", 5),
+            ("y + (1-1)^-2", "zero to a negative power", 9),
+            ("x/0", "division by zero", 1),
+            ("2*x/(y - y)", "division by zero", 3),
+            ("(x + 1)^(1/2)", "exponent must be an integer constant", 7),
+            ("2^x", "exponent must be an integer constant", 1),
+        ],
+    )
+    def test_folded_subtrees_keep_their_diagnostics(self, text, message, pos):
+        with pytest.raises(ExprSyntaxError, match=message) as err:
+            parse_expr(text)
+        assert err.value.pos == pos
+
+    @pytest.mark.parametrize("text, pos", [("\u00b2", 0), ("\u0663", 0), ("3\u0663", 1), ("x + 2\u00b9", 5), ("\u00bdx", 0)])
+    def test_numbers_are_ascii_digits(self, text, pos):
+        """A digit outside ASCII 0-9 (superscript two, Arabic-Indic three,
+        one half) is an unexpected character where it stands."""
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+            parse_expr(text)
+        assert err.value.pos == pos
+
+    def test_identifiers_keep_their_unicode_rules(self):
+        """An identifier begins with a letter or `_` and goes on with any
+        character for which str.isalnum() is true, or `_`."""
+        assert str(parse_expr("x\u00b2 + \u03b1_\u0663 + _a1")) == "_a1 + x\u00b2 + \u03b1_\u0663"
+
+    @pytest.mark.parametrize("text, pos", [("x*ln(1-1)", 2), ("ln(-2/3)", 0), ("sin(x) + ln((x - x)*y)", 9)])
+    def test_ln_of_a_nonpositive_constant_has_a_position(self, text, pos):
+        with pytest.raises(ExprSyntaxError, match="ln of a nonpositive constant") as err:
+            parse_expr(text)
+        assert err.value.pos == pos
+
     def test_print_parse_idempotent(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -261,6 +301,10 @@ class TestCanonicalForm:
         assert info.value.pos == 7
         assert (x1 ** 400).num.total_degree() == 400  # within the budget, and exact
         assert parse_expr("x^400").num.total_degree() == 400
+        # the denominator 1 has its estimate too, 1 + 3n: past the budget for 0^400000
+        with pytest.raises(ExprSyntaxError, match="power too large: its size estimate 1200001") as info:
+            parse_expr("1 + 0^400000")
+        assert info.value.pos == 5
 
     def test_constant_quotient_past_the_digit_limit(self):
         with pytest.raises(ExprSyntaxError, match="constant quotient has more than"):
@@ -1106,6 +1150,96 @@ def test_trivial_operands_match_the_general_paths():
             assert all(type(c) is Fraction for c in got.terms.values())
     # the general multiply never pops over a one-term unit factor
     assert stats["popped"] == 0
+
+
+def test_parsing_makes_no_expr_arithmetic_on_atom_free_coefficients(monkeypatch):
+    """Parsing the golden session adds or multiplies two atom-free
+    polynomial Exprs only where a form is put together: a coefficient times
+    the 1 of d[x], or added to the 0 of an index the other form lacks.  Every
+    other Expr sum or product has an atom or a denominator in an operand."""
+    from pathlib import Path
+
+    from skewform.session import parse_session
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(self, other):
+            calls.append((self, other))
+            return fn(self, other)
+
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Expr, name, counted(getattr(Expr, name)))
+    parse_session((Path(__file__).parent / "data" / "golden_session.sf").read_text())
+    monkeypatch.undo()
+
+    def polynomial(e):
+        return isinstance(e, Expr) and e.den.is_const() and not e.has_atoms()
+
+    def unit_or_zero(e):
+        return e.is_rational_constant() and e.as_fraction() in (0, 1)
+
+    assert any(not (polynomial(a) and polynomial(b)) for a, b in calls)
+    assert [(a, b) for a, b in calls if polynomial(a) and polynomial(b) and not (unit_or_zero(a) or unit_or_zero(b))] == []
+
+
+@pytest.mark.parametrize("n", [1, 6, 40])
+def test_diff_of_an_atom_free_polynomial_makes_no_poly_sum(monkeypatch, n):
+    """The derivative of an n-term polynomial is built in one dict, with no
+    running Poly sum."""
+    p = parse_expr(" + ".join(f"{k}*x^{k}*y" for k in range(1, n + 1))).num
+    want = parse_expr(" + ".join(f"{k * k}*x^{k - 1}*y" for k in range(1, n + 1)))
+    calls = []
+    real_add = Poly.__add__
+    monkeypatch.setattr(Poly, "__add__", lambda a, b: calls.append(1) or real_add(a, b))
+    got = symexpr._poly_diff_expr(p, "x")
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want and list(got.num.terms.items()) == list(want.num.terms.items())
+
+
+def test_subst_of_polynomial_values_makes_no_expr_arithmetic(monkeypatch):
+    """With polynomial values every term is a Poly product, summed in one
+    dict: no Expr sum or product."""
+    p = parse_expr("x^2*y - 3*x*y + y^3 + z - 2").num
+    mapping = {"x": parse_expr("u + 1"), "y": parse_expr("u - 1")}
+    want = parse_expr("(u + 1)^2*(u - 1) - 3*(u + 1)*(u - 1) + (u - 1)^3 + z - 2")
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        real = getattr(Expr, name)
+        monkeypatch.setattr(Expr, name, lambda a, b, real=real: calls.append(1) or real(a, b))
+    got = symexpr._poly_subst(p, mapping)
+    monkeypatch.undo()
+    assert calls == [] and got == want
+
+
+@pytest.mark.parametrize(
+    "text, mapping, want",
+    [
+        ("x - y", {"x": "u", "y": "u"}, "0"),
+        ("x^2 - y^2 + z", {"x": "u + 1", "y": "-u - 1"}, "z"),
+        ("x*y - 2*x + y*z", {"x": "u", "y": "2", "z": "u"}, "2*u"),
+        ("x + y + x^2", {"x": "u", "y": "-u"}, "u^2"),
+    ],
+)
+def test_subst_drops_the_terms_that_cancel(text, mapping, want):
+    """A monomial whose coefficients sum to zero leaves the sum, and one
+    that comes back after it goes to the end, as in a sum of Polys."""
+    got = parse_expr(text).subst({k: parse_expr(v) for k, v in mapping.items()})
+    assert str(got) == want and all(got.num.terms.values())
+
+
+def test_power_size_of_one_term_is_its_closed_form():
+    """For a one-term base the estimate is 1 + n*(degree + bits + 1), the
+    general formula with one term in every power."""
+    for text in ("x", "-7/3*x^2*y*sin(x)", "10^40*z^5", "1"):
+        p = parse_expr(text).num
+        ((m, c),) = p.terms.items()
+        bits = c.numerator.bit_length() + c.denominator.bit_length()
+        for n in (1, 2, 7, 1000):
+            assert symexpr._power_size(p, n) == 1 + n * (m.degree + bits + 1)
 
 
 def test_constant_factor_makes_no_monomial_products(monkeypatch):
