@@ -46,7 +46,8 @@ def build_parser():
         "--tolerance",
         type=tolerance,
         default=1e-9,
-        help="numeric tolerance for zero-locus scans (default 1e-9)",
+        help="numeric tolerance for zero-locus scans, and for the sampled "
+        "identically-zero test of a scanned F with function atoms (default 1e-9)",
     )
     p_check.add_argument(
         "--max-steps", type=int, default=8, help="integration-chain step bound (default 8)"

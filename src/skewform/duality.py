@@ -41,13 +41,12 @@ def minor_table(rows):
 
     A minor is the Laplace expansion along the first row of R, each packed
     minor computed once per (R, C) and shared by every minor that reaches it
-    (no division, no gcd); a zero entry or a zero minor prunes its branch.
-    Each row entry times sub-minor product is built in `Poly.__mul__`'s
-    order and merged as `Poly.__add__` merges, so on the full matrix this
-    gives the terms of plain Laplace expansion in its dict order.  A minor
-    asked for is unpacked once, times the contents of the rows of R; the
-    one division, by the product of their cleared denominators, is an
-    `Expr.make` at the end."""
+    (no division, no gcd); a zero entry prunes its branch.  Each row entry
+    times sub-minor product is added straight into the minor's dict, and the
+    coefficients that cancel are dropped once at the end.  A minor asked for
+    is unpacked once, times the contents of the rows of R; the one division,
+    by the product of their cleared denominators, is an `Expr.make` at the
+    end."""
     cleared, scales = [], []
     for row in rows:
         dens, scale = [], _POLY_ONE
@@ -80,28 +79,17 @@ def minor_table(rows):
         if got is None:
             r, rest = R[0], R[1:]
             got = {}
+            get = got.get
             for k, j in enumerate(C):
                 a = (negated if k % 2 else mat)[r][j]
                 if not a:
                     continue
                 b = packed_minor(rest, C[:k] + C[k + 1:])
-                if not b:
-                    continue
-                term = {}
-                get = term.get
                 for m1, c1 in a.items():
                     for m2, c2 in b.items():
                         m = m1 + m2
-                        term[m] = get(m, 0) + c1 * c2
-                # a sum that cancels leaves the dict and re-enters at its end
-                get = got.get
-                for m, c in term.items():
-                    if c:
-                        s = get(m, 0) + c
-                        if s:
-                            got[m] = s
-                        else:
-                            del got[m]
+                        got[m] = get(m, 0) + c1 * c2
+            got = {m: c for m, c in got.items() if c}
             memo[(R, C)] = got
         return got
 

@@ -351,8 +351,9 @@ def poisson_bracket(f, g, pairing):
 
 def degenerate_scan(exprs, kind, chart, pairing=None, seed=0, tol=SCAN_TOL, lines=SCAN_LINES):
     """Build the functional expression for the requested kind, decide
-    whether it vanishes identically, and otherwise sample points on its
-    zero locus along seeded lines (`_sample_zero_locus`)."""
+    whether it vanishes identically (`zero_test` with this `tol`, which
+    only an F with atoms reads), and otherwise sample points on its zero
+    locus along seeded lines (`_sample_zero_locus`)."""
     if kind == "jacobian":
         flat = list(exprs)
         if len(flat) != chart.dim:

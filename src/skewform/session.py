@@ -172,7 +172,7 @@ def _resolve_form(session, token, line, degree_hint=None):
     except ExprSyntaxError as exc:
         if token.isidentifier():
             raise SessionError(f"undefined form {token!r}", line) from exc
-        raise SessionError(str(exc), line) from exc
+        raise
 
 
 def _resolve_relation(session, ref, line):
@@ -181,20 +181,14 @@ def _resolve_relation(session, ref, line):
         lhs, rhs = ref.split("=>", 1)
         omega = _resolve_form(session, rhs, line)
         psi = _resolve_form(session, lhs, line, degree_hint=max(omega.degree - 1, 0))
-        try:
-            return Relation(psi, omega)
-        except ExprError as exc:
-            raise SessionError(str(exc), line) from exc
+        return Relation(psi, omega)
     if ref in session.relations:
         return session.relations[ref]
     raise SessionError(f"undefined relation {ref!r}", line)
 
 
-def _parse_scalar(session, text, line):
-    try:
-        return parse_expr(text, variables=session.allowed_symbols())
-    except ExprSyntaxError as exc:
-        raise SessionError(str(exc), line) from exc
+def _parse_scalar(session, text):
+    return parse_expr(text, variables=session.allowed_symbols())
 
 
 def parse_session(source, name="<session>"):
@@ -241,19 +235,14 @@ def _parse_line(session, line, lineno):
         name = _new_name("form", name, session.forms, lineno, session.allowed_symbols())
         if not body.strip():
             raise SessionError("form declaration needs `form name = <expression>`", lineno)
-        try:
-            session.forms[name] = parse_form(
-                body.strip(), session.chart, variables=session.allowed_symbols()
-            )
-        except ExprSyntaxError as exc:
-            raise SessionError(str(exc), lineno) from exc
+        session.forms[name] = parse_form(body.strip(), session.chart, variables=session.allowed_symbols())
         return
     if head == "connection":
         _require_chart(session, lineno)
         name, _, body = rest.partition(":")
         name = _new_name("connection", name, session.connections, lineno, session.allowed_symbols())
         entries = _parse_indexed_assignments(body, lineno, 3)
-        parsed = {idx: _parse_scalar(session, text, lineno) for idx, text in entries.items()}
+        parsed = {idx: _parse_scalar(session, text) for idx, text in entries.items()}
         session.connections[name] = Connection.from_entries(session.chart, parsed)
         return
     if head == "metric":
@@ -291,7 +280,7 @@ def _parse_line(session, line, lineno):
         for (i, j), text in entries.items():
             if not (1 <= i <= n and 1 <= j <= n):
                 raise SessionError(f"metric index out of range: ({i},{j})", lineno)
-            e = _parse_scalar(session, text, lineno)
+            e = _parse_scalar(session, text)
             rows[i - 1][j - 1] = e
             rows[j - 1][i - 1] = e
         session.metrics[name] = Metric(session.chart, rows)
@@ -314,10 +303,7 @@ def _parse_line(session, line, lineno):
             var = var.strip()
             if var not in session.chart.index:
                 raise SessionError(f"{var!r} is not an ambient chart variable", lineno)
-            try:
-                mapping[var] = parse_expr(expr_text.strip(), variables=allowed)
-            except ExprSyntaxError as exc:
-                raise SessionError(str(exc), lineno) from exc
+            mapping[var] = parse_expr(expr_text.strip(), variables=allowed)
         missing = set(session.chart.variables) - set(mapping)
         if missing:
             raise SessionError(f"pseudo must map every ambient variable; missing {sorted(missing)}", lineno)
@@ -427,13 +413,13 @@ def _parse_command(session, head, rest, lineno):
                 qv, _, pv = pair.partition(":")
                 pairing.append((qv.strip(), pv.strip()))
         if kind in ("poisson", "jacobian"):
-            exprs = [_parse_scalar(session, t, lineno) for t in _split_top(body)]
+            exprs = [_parse_scalar(session, t) for t in _split_top(body)]
         elif kind == "determinant":
             body = body.strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise SessionError("determinant scan needs a bracketed matrix `[a, b; c, d]`", lineno)
             exprs = [
-                [_parse_scalar(session, t, lineno) for t in _split_top(row_text)]
+                [_parse_scalar(session, t) for t in _split_top(row_text)]
                 for row_text in _split_top(body[1:-1], ";")
             ]
         else:
@@ -497,7 +483,7 @@ def _parse_command(session, head, rest, lineno):
             return run
         raise SessionError("catalog command is `catalog list` or `catalog run <name|--all>`", lineno)
     if head == "eval":
-        expr = _parse_scalar(session, rest, lineno) if session.chart else parse_expr(rest)
+        expr = _parse_scalar(session, rest) if session.chart else parse_expr(rest)
 
         def run(record, seed, tolerance, max_steps):
             record["input"] = rest

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 import random
 import re
@@ -594,7 +593,6 @@ def _univar_prem(f, g):
     dg = max(g)
     lg = g[dg]
     r = dict(f)
-    guard = 0
     while r and max(r) >= dg:
         dr = max(r)
         lr = r[dr]
@@ -608,9 +606,6 @@ def _univar_prem(f, g):
             cur = cur - term
             new[e + shift] = cur
         r = {e: c for e, c in new.items() if not c.is_zero()}
-        guard += 1
-        if guard > 10000:
-            raise ExprError("pseudo-division runaway")
     return r
 
 
@@ -743,8 +738,7 @@ def poly_cofactors(f, g):
         return h, _poly_divexact(f, h), _poly_divexact(g, h)
     if 0 in h and len(h) == 1:
         return _POLY_ONE, f, g
-    # ascending lex: the term order of h's level-by-level reconstruction
-    h = ring.unpack(sorted(h.items()))
+    h = ring.unpack(h.items())
     _, lc = h.leading()
     return h.scale(1 / lc), ring.unpack(fq.items(), cf * lc), ring.unpack(gq.items(), cg * lc)
 
@@ -872,10 +866,10 @@ class Expr:
             return Expr.const(x)
         return NotImplemented
 
-    # The shortcuts in +, -, negation and * build the Poly that Expr.make
-    # builds on the general path, in the same dict order, without its gcd:
-    # a zero operand, a negation, a constant factor, and a sum or difference
-    # of two polynomials (canonical constant denominators are always 1).
+    # The shortcuts in +, -, negation and * build the Expr that Expr.make
+    # builds on the general path, without its gcd: a zero operand, a
+    # negation, a constant factor, and a sum or difference of two
+    # polynomials (canonical constant denominators are always 1).
 
     def __add__(self, other):
         other = Expr._coerce(other)
@@ -1128,37 +1122,21 @@ def _atom_derivative(atom):
 def _poly_diff_expr(p, v):
     """Derivative of a Poly as an Expr (atoms pull in the chain rule).
 
-    A monomial lists its variables before its atoms.  Up to the first term
-    with an atom the derivative is built in one dict: the terms that hold v
-    have distinct quotients by v, so this is the sum that adding them as
-    Exprs builds, in the same order.  From that term on they are Exprs."""
-    res, unit = {}, Monomial.of(v)
-    terms = iter(p.terms.items())
-    for m, c in terms:
-        items = m.items
-        if items and not isinstance(items[-1][0], str):
-            break
-        for g, e in items:
-            if g == v:
-                res[m.divide(unit)] = c * e
-                break
-    else:
-        return _polynomial_expr(_nonzero_poly(res))
-    total = _polynomial_expr(_nonzero_poly(res))
-    for m, c in itertools.chain(((m, c),), terms):
+    The terms that hold v have distinct quotients by v, so their derivatives
+    go into one dict.  The chain-rule terms of the atoms form one Expr sum,
+    added once at the end."""
+    res, atoms, unit = {}, ZERO, Monomial.of(v)
+    for m, c in p.terms.items():
         for g, e in m.items:
             if isinstance(g, str):
-                if g != v:
-                    continue
-                dgen = ONE
-            else:
-                darg = g.arg.diff(v)
-                if darg.is_zero_struct():
-                    continue
-                dgen = _atom_derivative(g) * darg
-            base = Poly({m.divide(Monomial.of(g)): c * e})
-            total = total + Expr.make(base) * dgen
-    return total
+                if g == v:
+                    res[m.divide(unit)] = c * e
+                continue
+            darg = g.arg.diff(v)
+            if not darg.is_zero_struct():
+                base = Poly({m.divide(Monomial.of(g)): c * e})
+                atoms = atoms + Expr.make(base) * (_atom_derivative(g) * darg)
+    return _polynomial_expr(_nonzero_poly(res)) + atoms
 
 
 def _subst_generator(g, mapping):
@@ -1172,38 +1150,27 @@ def _subst_generator(g, mapping):
 def _poly_subst(p, mapping):
     """p with its variables replaced by the Exprs of mapping, as an Expr.
 
-    While every value met is polynomial (an atom's always is), each term is
-    a product of Polys and the terms are summed in one dict: the loops that
-    Expr arithmetic runs on polynomials, in the same order.  From the first
-    rational value on, the terms are Exprs."""
-    res = {}
-    terms = iter(p.terms.items())
-    for m, c in terms:
-        term = _nonzero_poly({_MONO_UNIT: c})
+    A term whose values are all polynomial (an atom's always is) is a
+    product of Polys, summed into one dict.  A term that meets a rational
+    value is an Expr, and those terms form one Expr sum, added once at the
+    end.  The values are built and their powers checked in term order."""
+    res, rational = {}, ZERO
+    for m, c in p.terms.items():
+        term, quotient = _nonzero_poly({_MONO_UNIT: c}), ONE
         for g, e in m.items:
             val = _subst_generator(g, mapping)
-            if not val.den.is_const():
-                break
-            _require_power_budget(e, val.num, val.den)
-            term = term * val.num ** e
-        else:
+            if val.den.is_const():
+                _require_power_budget(e, val.num)
+                term = term * val.num ** e
+            else:
+                quotient = quotient * val ** e
+        if quotient is ONE:
             for mt, ct in term.terms.items():
-                s = res.get(mt, _F0) + ct
-                if s:
-                    res[mt] = s
-                else:
-                    del res[mt]
-            continue
-        break
-    else:
-        return _polynomial_expr(_nonzero_poly(res))
-    total = _polynomial_expr(_nonzero_poly(res))
-    for m, c in itertools.chain(((m, c),), terms):
-        term = Expr.const(c)
-        for g, e in m.items:
-            term = term * _subst_generator(g, mapping) ** e
-        total = total + term
-    return total
+                res[mt] = res.get(mt, _F0) + ct
+        else:
+            rational = rational + _polynomial_expr(term) * quotient
+    total = _polynomial_expr(_nonzero_poly({m: c for m, c in res.items() if c}))
+    return total + rational if rational.num.terms else total
 
 
 class _Unfloatable:

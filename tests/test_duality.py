@@ -517,8 +517,8 @@ def _det_case(rng, n, rational):
 
 
 def test_memoized_det_matches_laplace_expansion():
-    """Equal Exprs on every matrix, and on polynomial matrices the same
-    numerator terms in the same dict order as the Laplace expansion."""
+    """Equal Exprs, with equal text, on every matrix as the Laplace
+    expansion gives."""
     rng = random.Random("det-old-vs-new")
     shapes = set()
     singular = polynomial = 0
@@ -526,10 +526,8 @@ def test_memoized_det_matches_laplace_expansion():
         n, rational = case % 6, case % 12 >= 6
         rows, shape = _det_case(rng, n, rational)
         got, want = det_expr(rows), _old_det_expr(rows)
-        assert got == want, (case, [[str(e) for e in row] for row in rows])
-        if all(e.den.is_const() for row in rows for e in row):
-            polynomial += 1
-            assert list(got.num.terms.items()) == list(want.num.terms.items()), case
+        assert got == want and str(got) == str(want), (case, [[str(e) for e in row] for row in rows])
+        polynomial += all(e.den.is_const() for row in rows for e in row)
         shapes.add(shape)
         singular += n >= 1 and got.is_zero_struct()
     assert len(shapes) == 5 and singular > 100 and 150 < polynomial < 250, (shapes, singular, polynomial)
@@ -662,8 +660,7 @@ def _minor_entry(rng, kind):
 
 def test_packed_minor_table_matches_poly_expansion():
     """Every minor, the empty one and the 1x1 ones included, equals the
-    `Poly` expansion's, with the same text and the same numerator and
-    denominator terms in the same dict order."""
+    `Poly` expansion's, with the same text."""
     rng = random.Random("packed-minor-table")
     kinds = set()
     minors = 0
@@ -686,8 +683,6 @@ def test_packed_minor_table_matches_poly_expansion():
                 for C in combinations(range(n), p):
                     a, b = got(R, C), want(R, C)
                     assert a == b and str(a) == str(b), (case, R, C)
-                    assert list(a.num.terms.items()) == list(b.num.terms.items()), (case, R, C)
-                    assert list(a.den.terms.items()) == list(b.den.terms.items()), (case, R, C)
                     minors += 1
     assert len(kinds) == 9 and minors > 2000, (kinds, minors)
 

@@ -23,10 +23,15 @@ d(d w) = 0.
 
 The parser folds atom-free subtrees as Polys: on random atom-free
 expression trees it builds the Expr that Expr arithmetic builds, with the
-same terms in the same order.  The one-dict paths of `_poly_diff_expr` and
-`_poly_subst` are checked the same way against the Expr loops they replace,
-kept below as oracles.  With atoms, printing and parsing again gives the
-same Expr.
+same terms in the same order.  `_poly_diff_expr` and `_poly_subst` give the
+Expr, with the same text, of the Expr loops they replace, kept below as
+oracles.  With atoms, printing and parsing again gives the same Expr.
+
+Term order is free: a Poly rebuilt with its `terms` dict in another order
+keeps its `==`, hash, sort key, text and float values, and the minor table,
+`diff`, `subst` and the gcd give the same results on it.  The pullback
+commutes with d and with the wedge product, and the double Hodge star is
+(-1)^(p(n-p)) sign(det g) on the Euclidean and Minkowski metrics.
 """
 
 import math
@@ -39,9 +44,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from skewform.exterior import Chart, DiffForm, ext_d  # noqa: E402
+from skewform.duality import Metric, det_expr, hodge_star, minor_table  # noqa: E402
+from skewform.exterior import Chart, DiffForm, ext_d, wedge  # noqa: E402
 from skewform.manifold import Connection, bianchi_first_check, riemann  # noqa: E402
-from skewform.relations import _first_root  # noqa: E402
+from skewform.relations import Pseudostructure, RelationError, _first_root, pullback  # noqa: E402
 from skewform.symexpr import (  # noqa: E402
     ONE,
     ZERO,
@@ -56,6 +62,7 @@ from skewform.symexpr import (  # noqa: E402
     _poly_diff_expr,
     _poly_divexact,
     _poly_subst,
+    compile_numeric,
     parse_expr,
     poly_cofactors,
 )
@@ -333,6 +340,10 @@ def _same_terms(got, want):
     assert list(got.den.terms.items()) == list(want.den.terms.items())
 
 
+def _same_value(got, want):
+    assert got == want and str(got) == str(want)
+
+
 @settings(SETTINGS, max_examples=60)
 @given(trees())
 def test_parser_folds_atom_free_trees_as_expr_arithmetic_does(tree):
@@ -394,7 +405,7 @@ def diff_cases(draw):
 @given(diff_cases())
 def test_diff_matches_the_expr_loop(case):
     p, v = case
-    _same_terms(_poly_diff_expr(p, v), _diff_oracle(p, v))
+    _same_value(_poly_diff_expr(p, v), _diff_oracle(p, v))
 
 
 @st.composite
@@ -425,4 +436,142 @@ def test_subst_matches_the_expr_loop(case):
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             _poly_subst(p, mapping)
         return
-    _same_terms(_poly_subst(p, mapping), want)
+    _same_value(_poly_subst(p, mapping), want)
+
+
+# -- term order is free -------------------------------------------------------
+
+EXP_ATOM = next(iter(parse_expr("exp(y/2)").num.generators()))
+ORDER_GENS = ["x", "y", "z", ATOM, EXP_ATOM]
+
+
+def _reordered(draw, p):
+    """p rebuilt with its `terms` dict in a drawn order."""
+    return Poly(dict(draw(st.permutations(list(p.terms.items())))))
+
+
+def _reordered_expr(draw, e):
+    return Expr(_reordered(draw, e.num), _reordered(draw, e.den), _canonical=True)
+
+
+def _outcome(f, *args):
+    """A value, floats as their bits, or the error raised."""
+    try:
+        value = f(*args)
+    except (ExprError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return value.hex() if isinstance(value, float) else value
+
+
+@SETTINGS
+@given(st.data())
+def test_a_reordered_poly_keeps_every_output(data):
+    p = data.draw(polys(ORDER_GENS, max_terms=6, max_exp=4))
+    q = _reordered(data.draw, p)
+    assert p == q and hash(p) == hash(q) and p.sort_key() == q.sort_key()
+    d = data.draw(polys(["x", "y"], max_terms=3, max_exp=2))
+    e = Expr.make(p, d)
+    f = _reordered_expr(data.draw, e)
+    assert e == f and hash(e) == hash(f) and e.sort_key() == f.sort_key() and str(e) == str(f)
+    names = ["x", "y", "z"]
+    fe, ff = compile_numeric(e, names), compile_numeric(f, names)
+    coords = st.fractions(-3, 3, max_denominator=7)
+    for point in (data.draw(st.lists(coords, min_size=3, max_size=3)), [float(data.draw(coords)) + 0.1 for _ in names]):
+        assert _outcome(fe, point) == _outcome(ff, point)
+
+
+@SETTINGS
+@given(st.data())
+def test_the_kernel_routines_ignore_term_order(data):
+    p = data.draw(polys(ORDER_GENS, max_terms=5, max_exp=3))
+    v = data.draw(st.sampled_from(["x", "y", "z"]))
+    q = _reordered(data.draw, p)
+    _same_value(_poly_diff_expr(q, v), _poly_diff_expr(p, v))
+
+    mapping = {}
+    for name in data.draw(st.lists(st.sampled_from(["x", "y", "z"]), unique=True)):
+        val = Expr.make(data.draw(polys(["u", "v"], max_terms=3, max_exp=2)))
+        if data.draw(st.booleans()):
+            val = val / Expr.make(data.draw(polys(["u", "v"], max_terms=2, max_exp=2)))
+        mapping[name] = val
+    reordered = {k: _reordered_expr(data.draw, e) for k, e in mapping.items()}
+    _same_value(_poly_subst(q, reordered), _poly_subst(p, mapping))
+
+    f, g = (data.draw(polys(ORDER_GENS[:4], max_terms=3, max_exp=3)) for _ in range(2))
+    h = data.draw(polys(ORDER_GENS[:4], max_terms=2, max_exp=2))
+    want = poly_cofactors(f * h, g * h)
+    got = poly_cofactors(_reordered(data.draw, f * h), _reordered(data.draw, g * h))
+    assert [a.sort_key() for a in got] == [a.sort_key() for a in want]
+
+    n = data.draw(st.integers(1, 3))
+    rows = [[Expr.make(data.draw(polys(ORDER_GENS[:4], max_terms=2, max_exp=2))) for _ in range(n)] for _ in range(n)]
+    if data.draw(st.booleans()):
+        rows[0][0] = rows[0][0] / Expr.make(data.draw(polys(["x", "z"], max_terms=2, max_exp=2)))
+    shuffled = [[_reordered_expr(data.draw, e) for e in row] for row in rows]
+    got, want = minor_table(shuffled), minor_table(rows)
+    for k in range(n + 1):
+        for R in combinations(range(n), k):
+            for C in combinations(range(n), k):
+                _same_value(got(R, C), want(R, C))
+    _same_value(det_expr(shuffled), det_expr(rows))
+
+
+# -- pullback naturality, and the sign of ** ----------------------------------
+
+AMBIENT = {n: Chart(["x", "y", "z"][:n]) for n in (2, 3)}
+PARAMS = {m: Chart(["u", "v"][:m]) for m in (1, 2)}
+SIN_X = parse_expr("sin(x)")
+
+
+@st.composite
+def ambient_forms(draw, chart, degree):
+    """A form whose coefficients are polynomials, now and then times sin(x)."""
+    terms = {}
+    for idx in combinations(range(chart.dim), degree):
+        c = draw(polynomials(chart.variables))
+        terms[idx] = c * SIN_X if draw(st.integers(0, 3)) == 0 else c
+    return DiffForm(chart, degree, terms)
+
+
+@st.composite
+def pseudostructures(draw):
+    """An m-parameter surface in an n-dimensional chart, m < n: each ambient
+    coordinate a polynomial in u, v, now and then over a denominator."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(1, n - 1))
+    ambient, params = AMBIENT[n], PARAMS[m]
+    mapping = {}
+    for x in ambient.variables:
+        val = draw(polynomials(params.variables, max_terms=3))
+        if draw(st.integers(0, 4)) == 0:
+            val = val / (Expr.var("u") ** 2 + 1)
+        mapping[x] = val
+    try:
+        return Pseudostructure(ambient, params, mapping)
+    except RelationError:  # generic rank below m
+        assume(False)
+
+
+@SETTINGS
+@given(st.data())
+def test_pullback_commutes_with_d_and_wedge(data):
+    s = data.draw(pseudostructures())
+    chart = s.ambient
+    p = data.draw(st.integers(0, chart.dim - 1))
+    a = data.draw(ambient_forms(chart, p))
+    b = data.draw(ambient_forms(chart, data.draw(st.integers(0, chart.dim - p))))
+    assert pullback(ext_d(a), s) == ext_d(pullback(a, s))
+    assert pullback(wedge(a, b), s) == wedge(pullback(a, s), pullback(b, s))
+
+
+@SETTINGS
+@given(st.data())
+def test_double_star_sign(data):
+    n = data.draw(st.integers(2, 4))
+    chart = CHARTS[n]
+    g = data.draw(st.sampled_from([Metric.euclidean, Metric.minkowski]))(chart)
+    p = data.draw(st.integers(0, n))
+    terms = {idx: data.draw(polynomials(chart.variables)) for idx in combinations(range(n), p)}
+    a = DiffForm(chart, p, terms)
+    sign = (-1) ** (p * (n - p)) * (1 if g.signature[1] % 2 == 0 else -1)
+    assert hodge_star(hodge_star(a, g), g) == a.scale(sign)

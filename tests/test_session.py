@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import random
 import subprocess
 import sys
 import textwrap
@@ -7,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from skewform import cli
 from skewform.session import (
     SessionError,
     parse_session,
@@ -539,3 +543,80 @@ def test_check_closed_on_deeply_nested_atoms():
     text = f"chart x y\nform w = {inner}*d[y]\ncheck closed w expect false\n"
     report = run_session(parse_session(text, "deep.sf"))
     assert report["ok"] is True
+
+
+# -- a session fuzzer ----------------------------------------------------------------
+
+FUZZ_TOKENS = [
+    "(", ")", "[", "]", "d[", "d[q]", "^", "^2", "^-1", "*", "/", "/0", "+", "-", "=", ",", ":", ";", "#",
+    ".", "0", "1/2", "10^30", "q", "p", "t", "u", "c", "x", "sin(", "ln(", "exp(", "=>", " on ", " with ",
+    " expect ", " steps ", "omega", "w", "g", "r", "traj", "²", "é", "\t", " ",
+]
+FUZZ_WORDS = [
+    "true", "false", "zero", "nonzero", "IDENTICAL", "NONIDENTICAL", "CLOSED_RHS", "closed", "exact",
+    "dualclosed", "evoclosed", "jacobian", "determinant", "poisson", "omega", "w", "g", "r", "traj", "q", "0",
+]
+FUZZ_FLIPS = {
+    "true": "false", "false": "true", "zero": "nonzero", "nonzero": "zero",
+    "IDENTICAL": "CLOSED_RHS", "CLOSED_RHS": "NONIDENTICAL", "NONIDENTICAL": "IDENTICAL",
+}
+
+
+def fuzzed_session(text, k):
+    """The k-th seeded mutation of a session file's text: one or two edits,
+    each deleting, duplicating or swapping lines, putting a token into or
+    cutting characters out of a line, replacing one of its words, or turning
+    its expectations into others."""
+    rng = random.Random(f"session-fuzz:{k}")
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 2)):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        line = lines[i]
+        at = rng.randint(0, len(line))
+        op = rng.randrange(7)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(j, line)
+        elif op == 2:
+            lines[i], lines[j] = lines[j], line
+        elif op == 3:
+            lines[i] = line[:at] + rng.choice(FUZZ_TOKENS) + line[at:]
+        elif op == 4:
+            lines[i] = line[:at] + line[at + rng.randint(1, 8):]
+        elif op == 5:
+            words = line.split(" ")
+            words[rng.randrange(len(words))] = rng.choice(FUZZ_WORDS)
+            lines[i] = " ".join(words)
+        else:
+            lines[i] = " ".join(FUZZ_FLIPS.get(w, w) for w in line.split(" "))
+    return "\n".join(lines) + "\n"
+
+
+def run_cli_in_process(*args):
+    """(exit code, stdout, stderr) of `skewform` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_fuzzed_sessions_end_with_an_exit_code(tmp_path):
+    """Mutated copies of the golden session, hostile or not, exit 0, 1 or 2
+    from `check` and `check --json` alike, with no traceback: an error is
+    one `error:` line, and a report is valid JSON."""
+    source = (DATA / "golden_session.sf").read_text()
+    codes = set()
+    for k in range(60):
+        path = tmp_path / f"fuzz{k}.sf"
+        path.write_text(fuzzed_session(source, k))
+        code, out, err = run_cli_in_process("check", str(path))
+        json_code, json_out, json_err = run_cli_in_process("check", str(path), "--json")
+        assert code in (0, 1, 2) and json_code == code, k
+        assert "Traceback" not in err + json_err, k
+        if code == 2:
+            assert err == json_err and err.startswith("error: ") and err.count("\n") == 1, k
+        else:
+            assert json.loads(json_out)["ok"] is (code == 0), k
+        codes.add(code)
+    assert codes == {0, 1, 2}, codes

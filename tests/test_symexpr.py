@@ -1225,8 +1225,8 @@ def test_subst_of_polynomial_values_makes_no_expr_arithmetic(monkeypatch):
     ],
 )
 def test_subst_drops_the_terms_that_cancel(text, mapping, want):
-    """A monomial whose coefficients sum to zero leaves the sum, and one
-    that comes back after it goes to the end, as in a sum of Polys."""
+    """A monomial whose coefficients sum to zero leaves the sum: no zero
+    coefficient is kept."""
     got = parse_expr(text).subst({k: parse_expr(v) for k, v in mapping.items()})
     assert str(got) == want and all(got.num.terms.values())
 
