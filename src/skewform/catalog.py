@@ -63,7 +63,7 @@ class LegendreResult:
 
 def _poly_degree_in(e, name):
     deg = 0
-    for m in e.num.terms:
+    for m in e.num.ints:
         for g, ge in m.items:
             if g == name:
                 deg = max(deg, ge)
@@ -163,13 +163,13 @@ def _moment_sum(e, n, x=None, y=None):
     an exact rational: a term c x^a y^b contributes c * M_a * M_b, with x^a
     in place of the moment M_a when x is fixed, and y^b likewise."""
     total = Fraction(0)
-    for m, c in e.num.terms.items():  # e.den is the constant 1
+    for m, c in e.num.ints.items():  # e.den is the constant 1
         powers = dict(m.items)
         a, b = powers.get("x", 0), powers.get("y", 0)
         fa = _simpson_moment(n, a) if x is None else x ** a
         fb = _simpson_moment(n, b) if y is None else y ** b
         total += c * fa * fb
-    return total
+    return total * e.num.content
 
 
 def _grid_sum(e, n, x=None, y=None):

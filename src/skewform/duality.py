@@ -100,7 +100,7 @@ def minor_table(rows):
         for r in R:
             den = den * scales[r]
             content *= contents[r]
-        return Expr.make(ring.unpack(packed_minor(R, C).items(), content), den)
+        return Expr.make(ring.unpack(packed_minor(R, C), content), den)
 
     return minor
 

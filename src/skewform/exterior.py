@@ -376,7 +376,7 @@ def is_exact(a, base=None, seed=0):
 
 def _coeff_text(e):
     text = str(e)
-    simple = len(e.num.terms) <= 1 and e.den.is_const()
+    simple = len(e.num.ints) <= 1 and e.den.is_const()
     return text if simple else f"({text})"
 
 
@@ -519,7 +519,7 @@ class _Parser:
                 if t.kind == "*":
                     v = _printable(v * rhs, "product", t)
                     continue
-                if rhs.is_const() and rhs.terms:
+                if rhs.is_const() and rhs.ints:
                     v = _printable(v.scale(1 / rhs.const_value()), "quotient", t)
                     continue
             v, rhs = _scalar(v), _scalar(rhs)

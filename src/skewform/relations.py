@@ -445,8 +445,8 @@ def _line_restriction(p, names):
     U(2^K) is the homogenized p at X_i = B_i - 5 D_i + 10 D_i 2^K, read off in
     symmetric base-2^K digits (Kronecker).  As |B_i - 5 D_i| + |10 D_i| <=
     18000 on every scan line, each |u_k| < 2^(K-1) for the K set here."""
-    L, d = math.lcm(*(c.denominator for c in p.terms.values())), p.total_degree()
-    terms = [(int(c * L) * 1000 ** (d - m.degree), [(names.index(g), e) for g, e in m.items]) for m, c in p.terms.items()]
+    q, d = p.content.numerator, p.total_degree()  # L p is q times p's ints
+    terms = [(q * c * 1000 ** (d - m.degree), [(names.index(g), e) for g, e in m.items]) for m, c in p.ints.items()]
     K = sum(abs(c) * 18000 ** sum(e for _, e in factors) for c, factors in terms).bit_length() + 1
 
     def restrict(B, D):

@@ -22,6 +22,7 @@ import math
 import random
 import re
 import sys
+import weakref
 from fractions import Fraction
 
 
@@ -64,21 +65,24 @@ def _frac_sqrt(q):
 
 
 class Atom:
-    """An elementary-function application treated as a polynomial generator."""
+    """An elementary-function application treated as a polynomial generator.
 
-    __slots__ = ("fn", "arg", "_key", "_hash")
+    Atoms are interned: while one is alive, `Atom(fn, arg)` returns it for
+    every equal argument, so equal atoms, and their keys, are one object and
+    compare by identity.  The table holds its atoms weakly."""
 
-    def __init__(self, fn, arg):
-        self.fn = fn
-        self.arg = arg
-        self._key = _AtomKey(("b", fn, arg.sort_key()))
-        self._hash = self._key.hash
+    __slots__ = ("fn", "arg", "_key", "_hash", "__weakref__")
+
+    def __new__(cls, fn, arg):
+        key = _AtomKey(("b", fn, arg.sort_key()))
+        self = _ATOMS.get(key)
+        if self is None:
+            self = _ATOMS[key] = super().__new__(cls)
+            self.fn, self.arg, self._key, self._hash = fn, arg, key, key.hash
+        return self
 
     def sort_key(self):
         return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -123,7 +127,9 @@ def _key_less(a, b):
     return tuple.__lt__(a, b)
 
 
+_ATOMS = weakref.WeakValueDictionary()
 _VAR_KEYS = {}
+_VAR_MONOS = {}
 
 
 def _gen_key(gen):
@@ -147,10 +153,10 @@ class Monomial:
 
     __slots__ = ("items", "degree", "_keys", "_hash")
 
-    def __init__(self, items, keys=None):
+    def __init__(self, items, keys=None, degree=None):
         self.items = items = tuple(items)
         self._keys = tuple(_gen_key(g) for g, _ in items) if keys is None else tuple(keys)
-        self.degree = sum(e for _, e in items)
+        self.degree = sum(e for _, e in items) if degree is None else degree
         self._hash = hash(items)
 
     @staticmethod
@@ -159,6 +165,12 @@ class Monomial:
 
     @staticmethod
     def of(gen, exp=1):
+        """gen^exp; a variable's first power is one interned Monomial."""
+        if exp == 1 and isinstance(gen, str):
+            m = _VAR_MONOS.get(gen)
+            if m is None:
+                m = _VAR_MONOS[gen] = Monomial(((gen, 1),))
+            return m
         return Monomial(((gen, exp),))
 
     def __eq__(self, other):
@@ -220,7 +232,7 @@ class Monomial:
         elif j < nb:
             items += b[j:]
             keys += kb[j:]
-        return Monomial(items, keys)
+        return Monomial(items, keys, self.degree + other.degree)
 
     def divide(self, other):
         """Exact monomial quotient, or None when not divisible."""
@@ -242,7 +254,7 @@ class Monomial:
             i += 1
         items += a[i:]
         keys += ka[i:]
-        return Monomial(items, keys)
+        return Monomial(items, keys, self.degree - other.degree)
 
     def split(self, gen):
         """(exponent of gen, self with gen removed)."""
@@ -259,18 +271,25 @@ _MONO_UNIT = Monomial(())
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial over Q: a positive Fraction `content`
+    times `ints`, a primitive `{Monomial: int}` dict (coefficient gcd 1, no
+    zero entry; the zero polynomial is 1 times `{}`).  The pair is unique,
+    so `==` and the hash are structural.  A product of primitive
+    polynomials is primitive (Gauss's lemma), so `*` multiplies the contents
+    and convolves the ints with no gcd.  `terms` is the Fraction view,
+    `{Monomial: Fraction}`, built at each read for printing and tests."""
 
-    __slots__ = ("terms", "_hash", "_key")
+    __slots__ = ("content", "ints", "_hash", "_key")
 
-    def __init__(self, terms):
-        self.terms = {m: c for m, c in terms.items() if c}
-        self._hash = None
-        self._key = None
+    def __new__(cls, terms):
+        """The Poly of a `{Monomial: rational}` dict."""
+        terms = {m: Fraction(c) for m, c in terms.items() if c}
+        scale = math.lcm(*(c.denominator for c in terms.values()))
+        return _from_ints({m: c.numerator * (scale // c.denominator) for m, c in terms.items()}, Fraction(1, scale))
 
-    @staticmethod
-    def zero():
-        return _POLY_ZERO
+    @property
+    def terms(self):
+        return {m: self.content * c for m, c in self.ints.items()}
 
     @staticmethod
     def one():
@@ -279,25 +298,24 @@ class Poly:
     @staticmethod
     def const(q):
         q = Fraction(q)
-        return Poly({_MONO_UNIT: q}) if q else Poly({})
+        return _poly(q, {_MONO_UNIT: 1}) if q.numerator > 0 else _poly(-q, {_MONO_UNIT: -1}) if q else _POLY_ZERO
 
     @staticmethod
     def gen(g):
-        return Poly({Monomial.of(g): Fraction(1)})
+        return _poly(_F1, {Monomial.of(g): 1})
 
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and _MONO_UNIT in self.terms)
+        return not self.ints or (len(self.ints) == 1 and _MONO_UNIT in self.ints)
 
     def const_value(self):
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[_MONO_UNIT]
+        c = self.ints.get(_MONO_UNIT, 0)
+        return self.content if c == 1 else self.content * c
 
     def __eq__(self, other):
-        return self.terms == other.terms
+        return self.ints == other.ints and self.content == other.content
 
     def __hash__(self):
         if self._hash is None:
@@ -311,73 +329,67 @@ class Poly:
         return self._key
 
     def __add__(self, other):
-        # an empty operand returns the other: the loop below would copy it
-        if not other.terms:
+        # an empty operand returns the other: the sum would copy it
+        if not other.ints:
             return self
-        if not self.terms:
-            return other
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, _F0) + c
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
-        return _nonzero_poly(res)
+        return self._plus(other, 1) if self.ints else other
 
     def __sub__(self, other):
-        if not other.terms:
+        if not other.ints:
             return self
-        if not self.terms:
-            return -other
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, _F0) - c
+        return self._plus(other, -1) if self.ints else -other
+
+    def _plus(self, other, sign):
+        """self + sign * other, both nonzero: a and b times their ints over one denominator."""
+        p, q = self.content, other.content
+        a, b = 1, sign
+        if p != q:
+            pd, qd = p.denominator, q.denominator
+            g = math.gcd(pd, qd)
+            a, b = p.numerator * (qd // g), q.numerator * (pd // g)
+            h = math.gcd(a, b)
+            a, b, p = a // h, sign * (b // h), Fraction(h, pd // g * qd)
+        res = dict(self.ints) if a == 1 else {m: a * c for m, c in self.ints.items()}
+        get = res.get
+        for m, c in other.ints.items():
+            s = get(m, 0) + b * c
             if s:
                 res[m] = s
             else:
-                res.pop(m, None)
-        return _nonzero_poly(res)
+                del res[m]
+        return _from_ints(res, p)
 
     def __neg__(self):
-        return _nonzero_poly({m: -c for m, c in self.terms.items()})
+        return _poly(self.content, {m: -c for m, c in self.ints.items()})
 
     def __mul__(self, other):
-        # Each factor is scaled by the lcm of its denominators, so the
-        # products sum as ints, zero exactly when the Fraction sums would be.
-        if not self.terms or not other.terms:
-            return Poly({})
-        # A constant factor scales the other term by term.
+        if not (self.ints and other.ints):
+            return _POLY_ZERO
+        # A constant factor scales the other.
         if other.is_const():
             return self.scale(other.const_value())
         if self.is_const():
             return other.scale(self.const_value())
-        da, a = self._int_terms()
-        db, b = other._int_terms()
         res = {}
         get = res.get
-        for m1, c1 in a:
+        b = other.ints.items()
+        for m1, c1 in self.ints.items():
             mul = m1.mul
             for m2, c2 in b:
                 m = mul(m2)
                 res[m] = get(m, 0) + c1 * c2
-        d = da * db
-        if d == 1:
-            return _nonzero_poly({m: Fraction(s) for m, s in res.items() if s})
-        return _nonzero_poly({m: Fraction(s, d) for m, s in res.items() if s})
-
-    def _int_terms(self):
-        """(L, [(m, c * L)]) with L the lcm of the coefficient denominators."""
-        d = math.lcm(*(c.denominator for c in self.terms.values()))
-        return d, [(m, c.numerator * (d // c.denominator)) for m, c in self.terms.items()]
+        return _poly(_qmul(self.content, other.content), {m: s for m, s in res.items() if s})
 
     def scale(self, q):
         """self times the rational q; q == 1 returns self, as a Poly is immutable."""
         if q == 1:
             return self
-        if not q:
-            return Poly({})
-        return _nonzero_poly({m: c * q for m, c in self.terms.items()})
+        q = Fraction(q) if q.__class__ is int else q  # a content is a Fraction
+        if not (q and self.ints):
+            return _POLY_ZERO
+        if q > 0:
+            return _poly(_qmul(self.content, q), self.ints)
+        return _poly(_qmul(self.content, -q), {m: -c for m, c in self.ints.items()})
 
     def __pow__(self, n):
         result = Poly.one()
@@ -391,12 +403,12 @@ class Poly:
         return result
 
     def leading(self):
-        m = max(self.terms)
-        return m, self.terms[m]
+        m = max(self.ints)
+        return m, self.content * self.ints[m]
 
     def generators(self):
         gens = set()
-        for m in self.terms:
+        for m in self.ints:
             for g, _ in m.items:
                 gens.add(g)
         return gens
@@ -419,20 +431,34 @@ class Poly:
         return out
 
     def total_degree(self):
-        return max((m.degree for m in self.terms), default=0)
+        return max((m.degree for m in self.ints), default=0)
 
 
-def _nonzero_poly(terms):
-    """A Poly taking `terms` as is: a fresh dict with no zero coefficient."""
+def _poly(content, ints):
+    """The Poly content * ints, as they are: content > 0, ints primitive."""
     p = object.__new__(Poly)
-    p.terms = terms
+    p.content = content
+    p.ints = ints
     p._hash = p._key = None
     return p
 
 
-_F0 = Fraction(0)
-_POLY_ZERO = Poly({})
-_POLY_ONE = Poly({_MONO_UNIT: Fraction(1)})
+def _qmul(p, q):
+    """p * q, multiplied only when neither is 1."""
+    return p if q == 1 else q if p == 1 else p * q
+
+
+def _from_ints(ints, q):
+    """The Poly q * ints, q > 0, ints made primitive by one gcd."""
+    if not ints:
+        return _POLY_ZERO
+    g = math.gcd(*ints.values())
+    return _poly(q * g, {m: c // g for m, c in ints.items()}) if g != 1 else _poly(q, ints)
+
+
+_F1 = Fraction(1)
+_POLY_ZERO = _poly(_F1, {})
+_POLY_ONE = _poly(_F1, {_MONO_UNIT: 1})
 
 
 class NotExactDivision(ExprError):
@@ -457,7 +483,7 @@ class _PackedRing:
         for polys in groups:
             tops = {}
             for p in polys:
-                for m in p.terms:
+                for m in p.ints:
                     for g, e in m.items:
                         if tops.get(g, 0) < e:
                             tops[g] = e
@@ -474,31 +500,30 @@ class _PackedRing:
 
     def pack(self, polys):
         """(c, [P]): the Polys are the positive Fraction c times the packed
-        integer polynomials P, whose coefficients are setwise coprime."""
+        integer polynomials P, whose coefficients are setwise coprime.  A P is
+        an int k times its Poly's ints, read as they stand, as these are
+        primitive, so c is the gcd of the k over the lcm of the contents."""
         shift = {g: at for g, _, at, _ in self.fields}
-        scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-        packed = [
-            {sum(e << shift[g] for g, e in m.items): c.numerator * (scale // c.denominator) for m, c in p.terms.items()}
-            for p in polys
-        ]
-        content = math.gcd(*(c for p in packed for c in p.values())) or 1
-        if content != 1:
-            packed = [{m: c // content for m, c in p.items()} for p in packed]
+        scale = math.lcm(*(p.content.denominator for p in polys))
+        ks = [p.content.numerator * (scale // p.content.denominator) if p.ints else 0 for p in polys]
+        content = math.gcd(*ks) or 1
+        packed = [{sum(e << shift[g] for g, e in m.items): k // content * c for m, c in p.ints.items()} for p, k in zip(polys, ks)]
         return Fraction(content, scale), packed
 
-    def unpack(self, terms, q=1):
-        """The Poly q times the packed (monomial, coefficient) terms, in order."""
-        q = Fraction(q)
-        n, d, out = q.numerator, q.denominator, {}
-        for m, c in terms:
+    def unpack(self, packed, q=_F1, primitive=False):
+        """The Poly q times the packed integer polynomial, q != 0, made
+        primitive by one gcd unless the caller knows it to be: an exact
+        quotient of primitive polynomials is primitive (Gauss's lemma)."""
+        sign, out, q = (1, {}, q) if q > 0 else (-1, {}, -q)
+        for m, c in packed.items():
             items, keys = [], []
             for g, key, at, mask in self.fields:
                 e = m >> at & mask
                 if e:
                     items.append((g, e))
                     keys.append(key)
-            out[Monomial(items, keys)] = Fraction(c * n, d)
-        return _nonzero_poly(out)
+            out[Monomial(items, keys)] = sign * c
+        return _poly(q, out) if primitive else _from_ints(out, q)
 
     def divexact(self, f, g):
         """f / g for packed integer f and primitive g, so an exact quotient
@@ -550,28 +575,22 @@ def _poly_divexact(f, g):
         return f.scale(1 / g.const_value())
     ring = _PackedRing([(f, g)])
     (cf, (fp,)), (cg, (gp,)) = ring.pack((f,)), ring.pack((g,))
-    return ring.unpack(ring.divexact(fp, gp).items(), cf / cg)
+    return ring.unpack(ring.divexact(fp, gp), cf / cg, primitive=True)
 
 
 def _to_univar(p, x):
     """View p as univariate in generator x with Poly coefficients."""
     coeffs = {}
-    for m, c in p.terms.items():
+    for m, c in p.ints.items():
         e, rest_m = m.split(x)
-        bucket = coeffs.setdefault(e, {})
-        bucket[rest_m] = bucket.get(rest_m, _F0) + c
-    out = {}
-    for e, bucket in coeffs.items():
-        poly = Poly(bucket)
-        if not poly.is_zero():
-            out[e] = poly
-    return out
+        coeffs.setdefault(e, {})[rest_m] = c  # m -> (e, rest_m) is one to one
+    return {e: _from_ints(bucket, p.content) for e, bucket in coeffs.items()}
 
 
 def _from_univar(u, x):
     res = _POLY_ZERO
     for e, coeff in u.items():
-        xe = Poly({Monomial.of(x, e): Fraction(1)}) if e else _POLY_ONE
+        xe = _poly(_F1, {Monomial.of(x, e): 1}) if e else _POLY_ONE
         res = res + coeff * xe
     return res
 
@@ -647,6 +666,15 @@ class _HeuristicFailed(Exception):
     pass
 
 
+class _PastBudget(_HeuristicFailed):
+    """A point past XI_BITS, where the heuristic gives up at every level."""
+
+
+# No heuristic evaluation point has more bits: the integers of the level below
+# grow as xi to the power of the degree.  The workloads' largest xi has 48.
+XI_BITS = 1 << 14
+
+
 def _gcdheu(f, g, ring, level=0):
     """(h, f/h, g/h) for the heuristic GCD h of packed integer polynomials
     (Char, Geddes and Gonnet 1989): the generator of this level is put to a
@@ -669,6 +697,8 @@ def _gcdheu(f, g, ring, level=0):
     bound = ring.bound >> at & mask
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(8):
+        if xi.bit_length() > XI_BITS:
+            raise _PastBudget
         fe, ge = _packed_eval(f, at, mask, xi), _packed_eval(g, at, mask, xi)
         try:
             he = _gcdheu(fe, ge, ring, level + 1)[0] if fe and ge else {}
@@ -684,6 +714,8 @@ def _gcdheu(f, g, ring, level=0):
                 h = {m: c // content for m, c in h.items()}
                 fq, gq = ring.divexact(f, h), ring.divexact(g, h)
                 return {m: c * common for m, c in h.items()}, fq, gq
+        except _PastBudget:
+            raise
         except (_HeuristicFailed, NotExactDivision):
             pass
         xi = 73794 * xi // 27011 + 7
@@ -721,7 +753,7 @@ def poly_cofactors(f, g):
     fallback and divides once at its end.
     """
     if f.is_const() or g.is_const():
-        if not (f.terms and g.terms):
+        if not (f.ints and g.ints):
             raise ZeroDivisionError("cofactors of a zero polynomial")
         return _POLY_ONE, f, g
     if f == g:
@@ -738,9 +770,9 @@ def poly_cofactors(f, g):
         return h, _poly_divexact(f, h), _poly_divexact(g, h)
     if 0 in h and len(h) == 1:
         return _POLY_ONE, f, g
-    h = ring.unpack(h.items())
+    h = ring.unpack(h, primitive=True)  # as are the packed f and g
     _, lc = h.leading()
-    return h.scale(1 / lc), ring.unpack(fq.items(), cf * lc), ring.unpack(gq.items(), cg * lc)
+    return h.scale(1 / lc), ring.unpack(fq, cf * lc, True), ring.unpack(gq, cg * lc, True)
 
 
 def poly_gcd(f, g):
@@ -778,7 +810,7 @@ def _poly_sqrt(p):
             return None
         q = q + Poly({tm: rcoef / (2 * rc)})
         guard += 1
-        if guard > len(p.terms) * 4 + 16:
+        if guard > len(p.ints) * 4 + 16:
             return None
 
 
@@ -805,13 +837,11 @@ class Expr:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             return ZERO
-        if not (num.is_const() or den.is_const()):
-            _, num, den = poly_cofactors(num, den)
+        _, num, den = poly_cofactors(num, den)
         _, lc = den.leading()
         if lc != 1:
             inv = 1 / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
+            num, den = num.scale(inv), den.scale(inv)
         return Expr(num, den, _canonical=True)
 
     @staticmethod
@@ -875,9 +905,9 @@ class Expr:
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num.terms:
+        if not other.num.ints:
             return self
-        if not self.num.terms:
+        if not self.num.ints:
             return other
         if self.den.is_const() and other.den.is_const():
             return _polynomial_expr(self.num + other.num)
@@ -889,9 +919,9 @@ class Expr:
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num.terms:
+        if not other.num.ints:
             return self
-        if not self.num.terms:
+        if not self.num.ints:
             return -other
         if self.den.is_const() and other.den.is_const():
             return _polynomial_expr(self.num - other.num)
@@ -920,7 +950,7 @@ class Expr:
 
     def _scaled(self, c):
         """self times the constant Poly c (1, 0 or any other rational)."""
-        if not c.terms:
+        if not c.ints:
             return ZERO
         q = c.const_value()
         return self if q == 1 else Expr(self.num.scale(q), self.den, _canonical=True)
@@ -929,8 +959,7 @@ class Expr:
 
     def _reciprocal(self):
         """den/num, divided through by the leading coefficient of num."""
-        _, lc = self.num.leading()
-        q = 1 / lc
+        q = 1 / self.num.leading()[1]
         return Expr(self.den.scale(q), self.num.scale(q), _canonical=True)
 
     def __truediv__(self, other):
@@ -1025,8 +1054,8 @@ def _power_size(p, n):
     size.  N(m), the term count of p^m for a T-term p, is at most the
     multinomial count C(m + T - 1, T - 1) and at most the product over
     generators of (m * degree + 1)."""
-    if len(p.terms) == 1:  # N(m) = 1
-        ((m, c),) = p.terms.items()
+    if len(p.ints) == 1:  # N(m) = 1, and the coefficient is +-content
+        (m,), c = p.ints, p.content
         return 1 + n * (m.degree + c.numerator.bit_length() + c.denominator.bit_length() + 1)
     tops, bits = {}, 0
     for m, c in p.terms.items():
@@ -1034,7 +1063,7 @@ def _power_size(p, n):
             if tops.get(g, 0) < e:
                 tops[g] = e
         bits = max(bits, c.numerator.bit_length() + c.denominator.bit_length())
-    count = len(p.terms)
+    count = len(p.ints)
     if not count:
         return 0
     terms = lambda m: min(math.comb(m + count - 1, count - 1), math.prod(m * e + 1 for e in tops.values()))  # noqa: E731
@@ -1055,7 +1084,7 @@ ONE = Expr(_POLY_ONE, _POLY_ONE, _canonical=True)
 
 def _polynomial_expr(num):
     """Expr.make(num) for a Poly num: canonical as it stands."""
-    return Expr(num, _POLY_ONE, _canonical=True) if num.terms else ZERO
+    return Expr(num, _POLY_ONE, _canonical=True) if num.ints else ZERO
 
 
 # Rational arithmetic after Henrici (1956): the operands are canonical, so
@@ -1068,7 +1097,7 @@ def _fraction_sum(a, b, c, d):
     can share a factor with g only: gcd(t, b/g) = gcd(t, d/g) = 1."""
     g, b1, d1 = poly_cofactors(b, d)
     t = a * d1 + c * b1
-    if not t.terms:
+    if not t.ints:
         return ZERO
     _, t, rest = poly_cofactors(t, g)  # rest = g / gcd(t, g), g itself when that gcd is 1
     return Expr(t, b1 * d if rest is g else b1 * d1 * rest, _canonical=True)
@@ -1126,7 +1155,7 @@ def _poly_diff_expr(p, v):
     go into one dict.  The chain-rule terms of the atoms form one Expr sum,
     added once at the end."""
     res, atoms, unit = {}, ZERO, Monomial.of(v)
-    for m, c in p.terms.items():
+    for m, c in p.ints.items():
         for g, e in m.items:
             if isinstance(g, str):
                 if g == v:
@@ -1134,9 +1163,9 @@ def _poly_diff_expr(p, v):
                 continue
             darg = g.arg.diff(v)
             if not darg.is_zero_struct():
-                base = Poly({m.divide(Monomial.of(g)): c * e})
-                atoms = atoms + Expr.make(base) * (_atom_derivative(g) * darg)
-    return _polynomial_expr(_nonzero_poly(res)) + atoms
+                base = _from_ints({m.divide(Monomial.of(g)): c * e}, p.content)
+                atoms = atoms + _polynomial_expr(base) * (_atom_derivative(g) * darg)
+    return _polynomial_expr(_from_ints(res, p.content)) + atoms
 
 
 def _subst_generator(g, mapping):
@@ -1151,12 +1180,13 @@ def _poly_subst(p, mapping):
     """p with its variables replaced by the Exprs of mapping, as an Expr.
 
     A term whose values are all polynomial (an atom's always is) is a
-    product of Polys, summed into one dict.  A term that meets a rational
-    value is an Expr, and those terms form one Expr sum, added once at the
-    end.  The values are built and their powers checked in term order."""
-    res, rational = {}, ZERO
-    for m, c in p.terms.items():
-        term, quotient = _nonzero_poly({_MONO_UNIT: c}), ONE
+    product of Polys, and those terms form one Poly sum.  A term that meets
+    a rational value is an Expr, and those terms form one Expr sum, added
+    once at the end.  The values are built and their powers checked in term
+    order."""
+    polynomial, rational = _POLY_ZERO, ZERO
+    for m, c in p.ints.items():
+        term, quotient = Poly.const(c), ONE  # times p.content below
         for g, e in m.items:
             val = _subst_generator(g, mapping)
             if val.den.is_const():
@@ -1165,12 +1195,11 @@ def _poly_subst(p, mapping):
             else:
                 quotient = quotient * val ** e
         if quotient is ONE:
-            for mt, ct in term.terms.items():
-                res[mt] = res.get(mt, _F0) + ct
+            polynomial = polynomial + term
         else:
-            rational = rational + _polynomial_expr(term) * quotient
-    total = _polynomial_expr(_nonzero_poly({m: c for m, c in res.items() if c}))
-    return total + rational if rational.num.terms else total
+            rational = rational + _polynomial_expr(term.scale(p.content)) * quotient
+    total = _polynomial_expr(polynomial.scale(p.content))
+    return total + rational if rational.num.ints else total
 
 
 class _Unfloatable:
@@ -1269,7 +1298,7 @@ def compile_numeric(expr, names):
 
     def exact_node(e):
         """The exact evaluator of e, or None when e has atoms."""
-        if any(not isinstance(g, str) for p in (e.num, e.den) for m in p.terms for g, _ in m.items):
+        if any(not isinstance(g, str) for p in (e.num, e.den) for m in p.ints for g, _ in m.items):
             return None
         one = e.den == _POLY_ONE
         return _exact_node(_exact_sum(e.num, slots), None if one else _exact_sum(e.den, slots), e)
@@ -1414,9 +1443,8 @@ def _float_node(num, den, expr):
 def _exact_sum(p, slots):
     """The closure (a, B) -> (n, s) with p = n / s at the values a[k] / B,
     a over one common denominator B."""
-    scale, ints = p._int_terms()
-    degree = p.total_degree()
-    terms = [(c, degree - m.degree, tuple((slots[g], e) for g, e in m.items)) for m, c in ints]
+    q, scale, degree = p.content.numerator, p.content.denominator, p.total_degree()
+    terms = [(q * c, degree - m.degree, tuple((slots[g], e) for g, e in m.items)) for m, c in p.ints.items()]
 
     def poly(a, common):
         total = 0
@@ -1482,12 +1510,11 @@ def integrate_unit_interval(e, t):
     """Definite integral over t in [0, 1] of an Expr polynomial in t."""
     if not e.is_polynomial_in({t}):
         raise ExprError(f"not polynomial in {t}: {e}")
-    total = ZERO
+    num = {}
     for m, c in e.num.terms.items():
         k, rest = m.split(t)
-        piece = Expr.make(Poly({rest: c / (k + 1)}), e.den)
-        total = total + piece
-    return total
+        num[rest] = num.get(rest, 0) + c / (k + 1)
+    return Expr.make(Poly(num), e.den)
 
 
 # -- zero testing -------------------------------------------------------------
@@ -1638,17 +1665,15 @@ def _mono_text(m):
 def _poly_text(p):
     if p.is_zero():
         return "0"
-    pieces = []
-    for m in sorted(p.terms, reverse=True):
-        c = p.terms[m]
+    pieces, n, d = [], p.content.numerator, p.content.denominator
+    for m in sorted(p.ints, reverse=True):
+        c = p.ints[m]
+        g = math.gcd(c, d)
+        a, b = n * abs(c) // g, d // g  # |coefficient| = a / b, reduced
         mono = _mono_text(m)
         try:
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
+            q = str(a) if b == 1 else f"{a}/{b}"
+            body = q if not mono else mono if a == b == 1 else f"{q}*{mono}"
         except ValueError as exc:  # past the interpreter's int-to-str digit limit
             raise ExprError(f"coefficient has more than {sys.get_int_max_str_digits()} digits to print") from exc
         pieces.append(("-" if c < 0 else "+", body))
@@ -1668,6 +1693,6 @@ def _expr_text(e):
     num = _poly_text(e.num)
     if e.den.is_const() and e.den.const_value() == 1:
         return num
-    if len(e.num.terms) > 1:
+    if len(e.num.ints) > 1:
         num = f"({num})"
     return f"{num}/({_poly_text(e.den)})"

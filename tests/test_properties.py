@@ -27,6 +27,12 @@ same terms in the same order.  `_poly_diff_expr` and `_poly_subst` give the
 Expr, with the same text, of the Expr loops they replace, kept below as
 oracles.  With atoms, printing and parsing again gives the same Expr.
 
+A Poly is a positive Fraction content times primitive ints.  Against an
+oracle of Fraction dicts, +, -, negation, *, scale, **, exact division,
+the cofactors and Expr.make give the same polynomials, with the same sort
+keys, hashes, text and compile_numeric float bits, and every result keeps
+the representation's invariants.
+
 Term order is free: a Poly rebuilt with its `terms` dict in another order
 keeps its `==`, hash, sort key, text and float values, and the minor table,
 `diff`, `subst` and the gcd give the same results on it.  The pullback
@@ -56,6 +62,7 @@ from skewform.symexpr import (  # noqa: E402
     Monomial,
     NotExactDivision,
     Poly,
+    _MATH_FN,
     _atom_derivative,
     _gcd_normalize,
     _make_atom_expr,
@@ -514,6 +521,128 @@ def test_the_kernel_routines_ignore_term_order(data):
             for C in combinations(range(n), k):
                 _same_value(got(R, C), want(R, C))
     _same_value(det_expr(shuffled), det_expr(rows))
+
+
+# -- one representation: content times primitive ints ------------------------
+
+
+@st.composite
+def fraction_dicts(draw, max_terms=4, max_exp=3):
+    """The oracle's polynomial: a {Monomial: Fraction} dict with no zero
+    value, over variables and two atoms; the coefficients often share a
+    factor, so a content other than 1 is common."""
+    out = {}
+    common = draw(st.sampled_from([1, 1, 2, 6, 10, Fraction(5, 3), Fraction(4, 9)]))
+    for _ in range(draw(st.integers(0, max_terms))):
+        powers = draw(st.dictionaries(st.sampled_from(ORDER_GENS), st.integers(1, max_exp), max_size=3))
+        m = Monomial.unit()
+        for g, e in powers.items():
+            m = m.mul(Monomial.of(g, e))
+        out[m] = out.get(m, 0) + common * draw(st.fractions(-12, 12, max_denominator=8))
+    return {m: c for m, c in out.items() if c}
+
+
+def _o_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _o_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1.mul(m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _o_key(a):
+    return tuple((m.sort_key(), (c.numerator, c.denominator)) for m, c in sorted(a.items(), key=lambda t: t[0].sort_key()))
+
+
+def _o_text(a):
+    """The canonical text of the polynomial, from its Fraction terms."""
+    if not a:
+        return "0"
+    out = ""
+    for m in sorted(a, reverse=True):
+        c = a[m]
+        mono = "*".join(str(g) if e == 1 else f"{g}^{e}" for g, e in m.items)
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        out += ("-" if c < 0 else "") + body if not out else (" - " if c < 0 else " + ") + body
+    return out
+
+
+def _o_float(a, point):
+    """The float value of the polynomial at a point of floats, in the
+    operation order compile_numeric documents: terms in descending monomial
+    key order added to 0.0, each float(c) times its factors one by one."""
+    total = 0.0
+    for m, c in sorted(a.items(), key=lambda t: t[0].sort_key(), reverse=True):
+        val = float(c)
+        for g, e in m.items:
+            v = point[g] if isinstance(g, str) else _MATH_FN[g.fn](_o_float(g.arg.num.terms, point))
+            val = val * v if e == 1 else val * v ** e
+        total = total + val
+    return total
+
+
+def _check(p, want):
+    """p is the oracle's polynomial want, in its one representation: a
+    positive Fraction content times primitive ints with no zero entry."""
+    assert p.terms == want and all(type(c) is Fraction for c in p.terms.values())
+    assert type(p.content) is Fraction and p.content > 0
+    assert all(type(c) is int and c for c in p.ints.values())
+    assert math.gcd(*p.ints.values()) == 1 if p.ints else p.content == 1
+    assert p.sort_key() == _o_key(want) and hash(p) == hash(_o_key(want))
+    assert str(Expr.make(p)) == _o_text(want)
+
+
+X, Y, UNIT = Monomial.of("x"), Monomial.of("y"), Monomial.unit()
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    fraction_dicts(),
+    fraction_dicts(),
+    st.fractions(-5, 5, max_denominator=6),
+    st.integers(0, 3),
+    st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+)
+# contents 6 and 4 have the factor 2 in common, and 6/5 and 4/15 the factor 2/15
+@example({X: Fraction(6), Y: Fraction(6)}, {X: Fraction(4), UNIT: Fraction(2)}, Fraction(1), 2, [0.5, -1.25, 2.0])
+@example({X: Fraction(6, 5), Y: Fraction(12, 5)}, {X: Fraction(4, 15)}, Fraction(-3, 2), 1, [0.1, 0.2, 0.3])
+def test_the_representation_matches_a_fraction_oracle(a, b, q, n, values):
+    p, r = Poly(a), Poly(b)
+    _check(p, a)
+    _check(r, b)
+    _check(p + r, _o_add(a, b))
+    _check(p - r, _o_add(a, b, -1))
+    _check(-p, {m: -c for m, c in a.items()})
+    _check(p * r, _o_mul(a, b))
+    _check(p.scale(q), {m: c * q for m, c in a.items() if q})
+    power = {Monomial.unit(): Fraction(1)}
+    for _ in range(n):
+        power = _o_mul(power, a)
+    _check(p ** n, power)
+    point = dict(zip(["x", "y", "z"], values))
+    bits = compile_numeric(Expr.make(p), ["x", "y", "z"])(values)
+    assert bits.hex() == _o_float(a, point).hex()
+    if not b:
+        return
+    _check(_poly_divexact(p * r, r), a)
+    e = Expr.make(p, r)
+    _check(e.num, e.num.terms)
+    _check(e.den, e.den.terms)
+    assert e.den.leading()[1] == 1 and _o_mul(e.num.terms, b) == _o_mul(a, e.den.terms)
+    if not a:
+        return
+    h, f1, g1 = poly_cofactors(p, r)
+    for got in (h, f1, g1):
+        _check(got, got.terms)
+    assert h.leading()[1] == 1 and _o_mul(h.terms, f1.terms) == a and _o_mul(h.terms, g1.terms) == b
 
 
 # -- pullback naturality, and the sign of ** ----------------------------------

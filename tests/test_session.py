@@ -620,3 +620,23 @@ def test_fuzzed_sessions_end_with_an_exit_code(tmp_path):
             assert json.loads(json_out)["ok"] is (code == 0), k
         codes.add(code)
     assert codes == {0, 1, 2}, codes
+
+
+def test_fuzzed_sessions_round_trip(tmp_path):
+    """Every mutation of the golden session that parses prints, with
+    `session_to_text`, a session that parses again and reports the same
+    records, apart from their line numbers."""
+    source = (DATA / "golden_session.sf").read_text()
+    parsed = 0
+    for k in range(100):
+        try:
+            s1 = parse_session(fuzzed_session(source, k), "fuzz.sf")
+        except SessionError:
+            continue
+        parsed += 1
+        s2 = parse_session(session_to_text(s1), "fuzz.sf")
+        r1, r2 = run_session(s1, seed=3), run_session(s2, seed=3)
+        for rec in r1["commands"] + r2["commands"]:
+            rec.pop("line")
+        assert r1 == r2, k
+    assert parsed > 20, parsed

@@ -1,5 +1,9 @@
+import contextlib
+import gc
+import io
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -1201,8 +1205,8 @@ def test_diff_of_an_atom_free_polynomial_makes_no_poly_sum(monkeypatch, n):
 
 
 def test_subst_of_polynomial_values_makes_no_expr_arithmetic(monkeypatch):
-    """With polynomial values every term is a Poly product, summed in one
-    dict: no Expr sum or product."""
+    """With polynomial values every term is a Poly product, summed as a
+    Poly: no Expr sum or product."""
     p = parse_expr("x^2*y - 3*x*y + y^3 + z - 2").num
     mapping = {"x": parse_expr("u + 1"), "y": parse_expr("u - 1")}
     want = parse_expr("(u + 1)^2*(u - 1) - 3*(u + 1)*(u - 1) + (u - 1)^3 + z - 2")
@@ -1377,3 +1381,45 @@ def test_henrici_arithmetic_matches_make_of_cross_products():
             assert got.sort_key() == want.sort_key()
             seen.add("zero" if got.is_zero_struct() else "constant" if got.is_rational_constant() else "rational")
     assert seen == {"zero", "constant", "rational"}
+
+
+D10_TEXT = "((x+y+z+u+3)*(x^30*y^30*z^30*u^30+1))/((x-y+z-u+5)*(x^30*y^30*z^30*u^30+1))"
+
+
+def test_the_heuristic_gcd_evaluates_within_its_budget(monkeypatch):
+    """ROADMAP D10: the heuristic gcd of (f h, g h), h = x^30 y^30 z^30 u^30 + 1,
+    evaluates at no point past XI_BITS and hands the gcd to the PRS, which
+    gives the canonical text it would give on its own."""
+    from skewform import cli
+
+    bits, prs = [], []
+    real_eval, real_prs = symexpr._packed_eval, symexpr._prs_gcd
+    monkeypatch.setattr(symexpr, "_packed_eval", lambda p, at, mask, xi: bits.append(xi.bit_length()) or real_eval(p, at, mask, xi))
+    monkeypatch.setattr(symexpr, "_prs_gcd", lambda f, g: prs.append(1) or real_prs(f, g))
+    got = parse_expr(D10_TEXT)
+    assert bits and max(bits) <= symexpr.XI_BITS and prs
+    monkeypatch.undo()
+    h = parse_expr("x^30*y^30*z^30*u^30 + 1").num
+    f, g = (parse_expr(t).num * h for t in ("x + y + z + u + 3", "x - y + z - u + 5"))
+    gcd = symexpr._prs_gcd(f, g)
+    assert gcd == h
+    want = Expr.make(symexpr._poly_divexact(f, gcd), symexpr._poly_divexact(g, gcd))
+    assert got == want and str(got) == "(-u - x - y - z - 3)/(u - x + y - z - 5)"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["eval", D10_TEXT]) == 0
+    assert out.getvalue() == str(want) + "\n"
+
+
+def test_equal_atoms_are_one_object_while_alive():
+    a, b = parse_expr("sin(x) + 2"), parse_expr("2 + sin(x)")
+    (atom_a,) = a.num.atoms()
+    (atom_b,) = b.num.atoms()
+    assert atom_a is atom_b and atom_a.sort_key() is atom_b.sort_key()
+    assert Poly.gen("x").ints.keys() == {Monomial.of("x")} and Monomial.of("x") is Monomial.of("x")
+    # the table holds its atoms weakly: an atom no Expr holds any more goes
+    text = "cos(x^5 - 887/3)"
+    ref = weakref.ref(next(iter(parse_expr(text).num.atoms())))
+    gc.collect()
+    assert ref() is None
+    assert str(next(iter(parse_expr(text).num.atoms()))) == text
