@@ -456,6 +456,16 @@ def _from_ints(ints, q):
     return _poly(q * g, {m: c // g for m, c in ints.items()}) if g != 1 else _poly(q, ints)
 
 
+def _poly_sum(polys):
+    """The sum of polys in one dict over the lcm of their content denominators, with one gcd."""
+    scale, res = math.lcm(*(p.content.denominator for p in polys)), {}
+    for p in polys:
+        k = p.content.numerator * (scale // p.content.denominator)
+        for m, c in p.ints.items():
+            res[m] = res.get(m, 0) + k * c
+    return _from_ints({m: c for m, c in res.items() if c}, Fraction(1, scale))
+
+
 _F1 = Fraction(1)
 _POLY_ZERO = _poly(_F1, {})
 _POLY_ONE = _poly(_F1, {_MONO_UNIT: 1})
@@ -510,10 +520,10 @@ class _PackedRing:
         packed = [{sum(e << shift[g] for g, e in m.items): k // content * c for m, c in p.ints.items()} for p, k in zip(polys, ks)]
         return Fraction(content, scale), packed
 
-    def unpack(self, packed, q=_F1, primitive=False):
+    def unpack(self, packed, q=_F1):
         """The Poly q times the packed integer polynomial, q != 0, made
-        primitive by one gcd unless the caller knows it to be: an exact
-        quotient of primitive polynomials is primitive (Gauss's lemma)."""
+        primitive by one gcd: 1 for an exact quotient of primitive
+        polynomials (Gauss's lemma), whose ints are then kept as built."""
         sign, out, q = (1, {}, q) if q > 0 else (-1, {}, -q)
         for m, c in packed.items():
             items, keys = [], []
@@ -523,7 +533,7 @@ class _PackedRing:
                     items.append((g, e))
                     keys.append(key)
             out[Monomial(items, keys)] = sign * c
-        return _poly(q, out) if primitive else _from_ints(out, q)
+        return _from_ints(out, q)
 
     def divexact(self, f, g):
         """f / g for packed integer f and primitive g, so an exact quotient
@@ -575,7 +585,7 @@ def _poly_divexact(f, g):
         return f.scale(1 / g.const_value())
     ring = _PackedRing([(f, g)])
     (cf, (fp,)), (cg, (gp,)) = ring.pack((f,)), ring.pack((g,))
-    return ring.unpack(ring.divexact(fp, gp), cf / cg, primitive=True)
+    return ring.unpack(ring.divexact(fp, gp), cf / cg)
 
 
 def _to_univar(p, x):
@@ -588,11 +598,7 @@ def _to_univar(p, x):
 
 
 def _from_univar(u, x):
-    res = _POLY_ZERO
-    for e, coeff in u.items():
-        xe = _poly(_F1, {Monomial.of(x, e): 1}) if e else _POLY_ONE
-        res = res + coeff * xe
-    return res
+    return _poly_sum([coeff * (_poly(_F1, {Monomial.of(x, e): 1}) if e else _POLY_ONE) for e, coeff in u.items()])
 
 
 def _univar_content(u):
@@ -688,8 +694,9 @@ def _gcdheu(f, g, ring, level=0):
     encoded coefficients.
     """
     common = math.gcd(*f.values(), *g.values())
-    f = {m: c // common for m, c in f.items()}
-    g = {m: c // common for m, c in g.items()}
+    if common != 1:
+        f = {m: c // common for m, c in f.items()}
+        g = {m: c // common for m, c in g.items()}
     if 0 in f and len(f) == 1 or 0 in g and len(g) == 1:
         # after extraction the residual gcd of a constant with anything is 1
         return {0: common}, f, g
@@ -770,9 +777,9 @@ def poly_cofactors(f, g):
         return h, _poly_divexact(f, h), _poly_divexact(g, h)
     if 0 in h and len(h) == 1:
         return _POLY_ONE, f, g
-    h = ring.unpack(h, primitive=True)  # as are the packed f and g
+    h = ring.unpack(h)
     _, lc = h.leading()
-    return h.scale(1 / lc), ring.unpack(fq, cf * lc, True), ring.unpack(gq, cg * lc, True)
+    return h.scale(1 / lc), ring.unpack(fq, cf * lc), ring.unpack(gq, cg * lc)
 
 
 def poly_gcd(f, g):
@@ -1180,11 +1187,11 @@ def _poly_subst(p, mapping):
     """p with its variables replaced by the Exprs of mapping, as an Expr.
 
     A term whose values are all polynomial (an atom's always is) is a
-    product of Polys, and those terms form one Poly sum.  A term that meets
-    a rational value is an Expr, and those terms form one Expr sum, added
-    once at the end.  The values are built and their powers checked in term
-    order."""
-    polynomial, rational = _POLY_ZERO, ZERO
+    product of Polys, and those terms are summed in one dict.  A term that
+    meets a rational value is an Expr, and those terms form one Expr sum,
+    added once at the end.  The values are built and their powers checked in
+    term order."""
+    polynomial, rational = [], ZERO
     for m, c in p.ints.items():
         term, quotient = Poly.const(c), ONE  # times p.content below
         for g, e in m.items:
@@ -1195,10 +1202,10 @@ def _poly_subst(p, mapping):
             else:
                 quotient = quotient * val ** e
         if quotient is ONE:
-            polynomial = polynomial + term
+            polynomial.append(term)
         else:
             rational = rational + _polynomial_expr(term.scale(p.content)) * quotient
-    total = _polynomial_expr(polynomial.scale(p.content))
+    total = _polynomial_expr(_poly_sum(polynomial).scale(p.content))
     return total + rational if rational.num.ints else total
 
 

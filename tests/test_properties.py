@@ -10,7 +10,8 @@ against the leading-term division over Fractions that it replaced.
 The heuristic gcd's integers grow with the product, over the generators
 both operands share, of one plus the smaller degree (each level
 evaluates one generator at a point about the size of the level below), so
-gcd examples past a budget on that product are discarded.
+gcd examples past a budget on that product are discarded, and so are those
+whose heuristic gcd would pass its own budget, XI_BITS.
 
 The scan's isolation takes integer polynomials of degree at most 8,
 products of powers of linear factors and of quadratics irreducible over
@@ -63,8 +64,12 @@ from skewform.symexpr import (  # noqa: E402
     NotExactDivision,
     Poly,
     _MATH_FN,
+    _HeuristicFailed,
+    _PackedRing,
+    _PastBudget,
     _atom_derivative,
     _gcd_normalize,
+    _gcdheu,
     _make_atom_expr,
     _poly_diff_expr,
     _poly_divexact,
@@ -138,11 +143,20 @@ def _degrees(p):
 
 
 def _gcd_operands(fgh):
-    """f*h and g*h, within the heuristic gcd's budget."""
+    """f*h and g*h, within the heuristic gcd's budget: past XI_BITS the PRS
+    takes the gcd, and it has no bound of its own."""
     f, g, h = fgh
     F, G = f * h, g * h
     fd, gd = _degrees(F), _degrees(G)
     assume(math.prod(1 + min(e, gd[x]) for x, e in fd.items() if x in gd) <= 5000)
+    ring = _PackedRing([(F, G)])
+    (_, (fp,)), (_, (gp,)) = ring.pack((F,)), ring.pack((G,))
+    try:
+        _gcdheu(fp, gp, ring)
+    except _PastBudget:
+        assume(False)
+    except _HeuristicFailed:
+        pass
     return F, G
 
 

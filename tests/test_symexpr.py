@@ -1205,8 +1205,8 @@ def test_diff_of_an_atom_free_polynomial_makes_no_poly_sum(monkeypatch, n):
 
 
 def test_subst_of_polynomial_values_makes_no_expr_arithmetic(monkeypatch):
-    """With polynomial values every term is a Poly product, summed as a
-    Poly: no Expr sum or product."""
+    """With polynomial values every term is a Poly product, summed in one
+    dict: no Expr sum or product."""
     p = parse_expr("x^2*y - 3*x*y + y^3 + z - 2").num
     mapping = {"x": parse_expr("u + 1"), "y": parse_expr("u - 1")}
     want = parse_expr("(u + 1)^2*(u - 1) - 3*(u + 1)*(u - 1) + (u - 1)^3 + z - 2")
