@@ -46,7 +46,7 @@ def minor_table(rows):
     coefficients that cancel are dropped once at the end.  A minor asked for
     is unpacked once, times the contents of the rows of R; the one division,
     by the product of their cleared denominators, is an `Expr.make` at the
-    end."""
+    end.  Both products are built once per row set R."""
     cleared, scales = [], []
     for row in rows:
         dens, scale = [], _POLY_ONE
@@ -93,13 +93,20 @@ def minor_table(rows):
             memo[(R, C)] = got
         return got
 
+    rowsets = {}
+
     def minor(R, C):
         if not R:
             return ONE
-        den, content = _POLY_ONE, 1
-        for r in R:
-            den = den * scales[r]
-            content *= contents[r]
+        got = rowsets.get(R)
+        if got is None:
+            den, num, dnm = _POLY_ONE, 1, 1
+            for r in R:
+                den = den * scales[r]
+                num *= contents[r].numerator
+                dnm *= contents[r].denominator
+            got = rowsets[R] = (den, Fraction(num, dnm))
+        den, content = got
         return Expr.make(ring.unpack(packed_minor(R, C), content), den)
 
     return minor
@@ -177,8 +184,9 @@ def sqrt_expr(e):
 class Metric:
     """Symmetric invertible matrix of Exprs over a chart, with the inverse
     and the exact volume factor cached at construction.  The determinant,
-    the inverse and every minor of the inverse are read from one
-    `minor_table` of g."""
+    the inverse, every minor of the inverse and every Hodge coefficient are
+    read from one `minor_table` of g.  `sign_det` is the sign of det g,
+    exact: the one of +-det g whose square root is `volume`."""
 
     __slots__ = ("chart", "rows", "inverse", "det", "volume", "sign_det", "signature", "_minor")
 
@@ -196,9 +204,9 @@ class Metric:
         d = minor(full, full)
         if zero_test(d, seed=seed).value:
             raise MetricError("metric determinant is identically zero")
-        vol = sqrt_expr(d)
+        vol, sign = sqrt_expr(d), 1
         if vol is None:
-            vol = sqrt_expr(-d)
+            vol, sign = sqrt_expr(-d), -1
         if vol is None:
             raise MetricError(
                 "sqrt|det g| does not simplify to a rational expression; metric rejected"
@@ -209,8 +217,8 @@ class Metric:
         self._minor = minor
         self.inverse = tuple(tuple(self.inverse_minor((i,), (j,)) for j in range(n)) for i in range(n))
         self.volume = vol
+        self.sign_det = sign
         self.signature = self._signature_at_sample(seed)
-        self.sign_det = 1 if (self.signature[1] % 2 == 0) else -1
 
     def inverse_minor(self, I, J):
         """The minor of g^-1 on rows I and columns J (increasing tuples of
@@ -260,7 +268,13 @@ def _require_metric_chart(a, g):
 
 
 def hodge_star(a, g):
-    """The metric dual (n-p)-form, fixed by alpha ^ star(beta) = <alpha,beta> vol."""
+    """The metric dual (n-p)-form, fixed by alpha ^ star(beta) = <alpha,beta> vol.
+
+    The coefficient on K = J^c is +-sign_det * S_J / vol, with
+    S_J = sum_I a_I (-1)^(sum I + sum J) det g[I^c, J^c] and +- the sign of
+    dx^J ^ dx^K: Jacobi's identity for the minors of g^-1 and
+    vol^2 = sign_det * det g make each coefficient minors of g and one
+    division."""
     _require_metric_chart(a, g)
     n = g.chart.dim
     p = a.degree
@@ -268,16 +282,16 @@ def hodge_star(a, g):
         return DiffForm.zero(g.chart, max(n - p, 0))
     res = {}
     for J in combinations(range(n), p):
+        K = tuple(k for k in range(n) if k not in J)
         s = ZERO
         for I, coeff in a.terms.items():
-            m = g.inverse_minor(J, I)
+            m = g._minor(tuple(k for k in range(n) if k not in I), K)
             if not m.is_zero_struct():
-                s = s + coeff * m
+                s = s + coeff * m if (sum(I) + sum(J)) % 2 == 0 else s - coeff * m
         if s.is_zero_struct():
             continue
-        K = tuple(i for i in range(n) if i not in J)
-        val = s * g.volume
-        res[K] = val if _merge_indices(J, K)[0] > 0 else -val
+        val = s / g.volume
+        res[K] = val if _merge_indices(J, K)[0] * g.sign_det > 0 else -val
     return DiffForm(g.chart, n - p, res)
 
 

@@ -1078,7 +1078,10 @@ def _power_size(p, n):
 
 
 def _require_power_budget(n, *polys):
-    """Refuse p^n for each p of polys, before it is built, past the budget."""
+    """Refuse p^n for each p of polys, before it is built, past the budget.
+    A power n <= 1 makes no product and always passes."""
+    if n <= 1:
+        return
     for p in polys:
         size = _power_size(p, n)
         if size > POWER_BUDGET:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skewform.symexpr import ONE, ZERO, Expr, ExprError, Monomial, parse_expr, _POLY_ONE, _POLY_ZERO
-from skewform.exterior import Chart, DiffForm, ext_d, parse_form, wedge
+from skewform.exterior import Chart, DiffForm, _merge_indices, ext_d, parse_form, wedge
 from skewform.duality import (
     Metric,
     _inertia,
@@ -578,6 +578,49 @@ def test_inverse_minors_follow_jacobi():
                 for J in combinations(range(n), p):
                     block = [[g.inverse[j][i] for i in I] for j in J]
                     assert g.inverse_minor(J, I) == det_expr(block), (n, I, J)
+
+
+def _per_term_hodge_star(a, g):
+    """The Hodge star that `hodge_star` replaced, kept as its oracle: the
+    coefficient on K, the complement of J, is sum_I a_I (g^-1 minor on J, I),
+    times the volume, with the sign of dx^J ^ dx^K."""
+    n = g.chart.dim
+    res = {}
+    for J in combinations(range(n), a.degree):
+        s = sum((coeff * g.inverse_minor(J, I) for I, coeff in a.terms.items()), ZERO)
+        if s.is_zero_struct():
+            continue
+        K = tuple(i for i in range(n) if i not in J)
+        val = s * g.volume
+        res[K] = val if _merge_indices(J, K)[0] > 0 else -val
+    return DiffForm(g.chart, n - a.degree, res)
+
+
+def test_hodge_star_matches_the_per_term_formula():
+    """On metrics J^T diag(+-1) J with rational entries, dims 2-4, the star
+    read from minors of g over the volume equals the per-term formula for
+    multi-term forms of every degree, one with a sin coefficient.  The
+    volume's square is sign_det * det g, and sign_det agrees with the
+    sampled signature; both signs occur."""
+    rng = random.Random("hodge-per-term")
+    signs, metrics = set(), 0
+    while metrics < 18:
+        chart = Chart([f"x{i}" for i in range(1, 2 + metrics % 3 + 1)])
+        g = _jacobi_metric(rng, chart)
+        if g is None:
+            continue
+        metrics += 1
+        assert g.volume * g.volume == g.det * g.sign_det
+        assert g.sign_det == (-1) ** g.signature[1]
+        signs.add(g.sign_det)
+        n, u = chart.dim, Expr.var(chart.variables[0])
+        for p in range(n + 1):
+            a = random_form(rng, chart, p, density=1, max_terms=2, max_total_deg=2)
+            I = rng.choice(sorted(a.terms))
+            b = a + DiffForm(chart, p, {I: parse_expr(f"sin({chart.variables[-1]})") * u})
+            for form in (a, b):
+                assert hodge_star(form, g) == _per_term_hodge_star(form, g), (n, p, form)
+    assert signs == {-1, 1}
 
 
 # The `minor_table` expansion over `Poly` that the packed-integer expansion

@@ -1246,6 +1246,20 @@ def test_power_size_of_one_term_is_its_closed_form():
             assert symexpr._power_size(p, n) == 1 + n * (m.degree + bits + 1)
 
 
+def test_a_first_power_passes_the_budget():
+    """p^1 makes no product, so a p whose square is past the budget still
+    passes at the power 1: in `**`, in the parser and in `subst`, the path
+    `pullback` takes.  Its square is refused as before."""
+    e = parse_expr("(1 + x + y + z + w)^11")
+    assert len(e.num.ints) == 1365 and symexpr._power_size(e.num, 1) > symexpr.POWER_BUDGET
+    assert e ** 1 == e
+    assert parse_expr(f"({e})^1") == e
+    assert parse_expr("u + 1").subst({"u": e}) == e + 1
+    assert parse_expr("3*x").subst({"x": e}) == e * 3
+    with pytest.raises(ExprError, match="power too large"):
+        e ** 2
+
+
 def test_constant_factor_makes_no_monomial_products(monkeypatch):
     """Products by a constant and sums of polynomial Exprs skip the merge:
     they call `Monomial.mul` not at all, where the merge calls it per term."""
